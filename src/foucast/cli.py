@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from .evaluate import default_workers, evaluate_model, write_reports
 from .model import ModelError, NowcastModel
 from .synth import Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
-from .train import TrainConfig, TrainError, TrainState, train_model
+from .train import TrainError, TrainState, train_model
 
 
 def _load_split(manifest: Manifest, split: str):
@@ -41,11 +42,7 @@ def cmd_train(args) -> int:
 
     tcfg = cfg.train
     if args.seed is not None:
-        tcfg = TrainConfig(
-            lr=tcfg.lr, batch=tcfg.batch, phase1_steps=tcfg.phase1_steps,
-            phase2_steps=tcfg.phase2_steps, seed=args.seed,
-            weight_decay=tcfg.weight_decay,
-        )
+        tcfg = dataclasses.replace(tcfg, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,6 +67,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
+    workers = default_workers()
     manifest_path = args.manifest or cfg.data.manifest
     if manifest_path is None:
         raise ConfigError("no manifest: pass --manifest or set [data] manifest")
@@ -80,7 +78,7 @@ def cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
     report = evaluate_model(
         model, events, list(cfg.eval.thresholds), tag=cfg.tag(),
-        max_workers=default_workers(),
+        max_workers=workers,
     )
     paths = write_reports(args.out, report)
     print(f"csi_avg {report.csi_avg:.4f} hss_avg {report.hss_avg:.4f} "

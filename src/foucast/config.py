@@ -7,11 +7,10 @@ unknown keys and malformed values are errors that name the offending key.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .model import ModelConfig
-from .modulation import PER_BIN, PER_CHANNEL
+from .model import PER_BIN, PER_CHANNEL, ModelConfig
 from .synth import SyntheticEventConfig
 from .train import TrainConfig
 
@@ -82,17 +81,31 @@ class _Section:
         self.name = name
         self.values = dict(values)
 
-    def _take(self, key: str) -> str | None:
-        return self.values.pop(key, None)
-
     def parse(self, key: str, kind, default):
-        raw = self._take(key)
+        raw = self.values.pop(key, None)
         if raw is None:
             return default
         try:
             return kind(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid value for [{self.name}] {key}: {raw!r} ({exc})")
+
+    def parse_fields(self, cls, skip: frozenset[str] = frozenset()) -> dict:
+        """Values for the fields of dataclass ``cls`` present in the section.
+
+        Keys are field names, except where ``_KEYS`` renames one; a field's
+        parser comes from ``_PARSERS`` by key, else by its annotation.
+        """
+        out = {}
+        for f in fields(cls):
+            if f.name in skip:
+                continue
+            key = _KEYS.get(f.name, f.name)
+            kind = _PARSERS.get(key) or _TYPE_PARSERS[f.type]
+            value = self.parse(key, kind, None)
+            if value is not None:
+                out[f.name] = value
+        return out
 
     def leftovers(self):
         if self.values:
@@ -123,8 +136,11 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.replace(",", " ").split() if p)
+def _three_ints(raw: str) -> tuple[int, int, int]:
+    vals = tuple(int(p) for p in raw.replace(",", " ").split() if p)
+    if len(vals) != 3:
+        raise ValueError("needs exactly three values")
+    return vals
 
 
 def _modules(raw: str) -> set[str]:
@@ -140,6 +156,26 @@ def _mode(raw: str) -> str:
     if raw not in (PER_BIN, PER_CHANNEL):
         raise ValueError(f"must be {PER_BIN!r} or {PER_CHANNEL!r}")
     return raw
+
+
+# Config keys that differ from their field names.
+_KEYS = {"lam": "lambda"}
+# Parsers by key where the annotation alone does not say enough.
+_PARSERS = {"pfm_mode": _mode, "enc_channels": _three_ints}
+# Parsers by field annotation (the modules use postponed annotations).
+_TYPE_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "bool": _bool,
+    "str": str,
+    "str | None": str,
+    "tuple[float, float]": _pair,
+    "tuple[float, ...]": _floats,
+}
+# Fields set through other keys, or not configurable.
+_MODULE_FLAGS = frozenset({"enable_pfm", "enable_fm", "enable_ifa"})  # modules_enabled
+_OPTIMIZER_CONSTANTS = frozenset({"beta1", "beta2", "eps"})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -162,30 +198,12 @@ def load_config(path: str | Path) -> RunConfig:
         return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
 
     m = section("model")
-    model = ModelConfig(
-        t_in=m.parse("t_in", int, 5),
-        k_out=m.parse("k_out", int, 20),
-        hw=m.parse("hw", int, 128),
-        hidden_hw=m.parse("hidden_hw", int, 32),
-        c_emb=m.parse("c_emb", int, 32),
-        depth_l=m.parse("depth_l", int, 6),
-        n_blocks=m.parse("n_blocks", int, 4),
-        memory_slots=m.parse("memory_slots", int, 64),
-        lam=m.parse("lambda", float, 0.57),
-        fusion_per_block=m.parse("fusion_per_block", _bool, False),
-        pfm_mode=m.parse("pfm_mode", _mode, PER_BIN),
-        mem_channels=m.parse("mem_channels", int, 16),
-        afno_bias=m.parse("afno_bias", _bool, True),
-    )
-    enc = m.parse("enc_channels", _ints, (16, 32, 32))
-    if len(enc) != 3:
-        raise ConfigError("[model] enc_channels needs exactly three values")
-    model.enc_channels = enc
-    enabled = m.parse("modules_enabled", _modules, {"pfm", "fm", "ifa"})
-    model.enable_pfm = "pfm" in enabled
-    model.enable_fm = "fm" in enabled
-    model.enable_ifa = "ifa" in enabled
+    model_kw = m.parse_fields(ModelConfig, skip=_MODULE_FLAGS)
+    enabled = m.parse("modules_enabled", _modules, None)
+    if enabled is not None:
+        model_kw.update({flag: flag.removeprefix("enable_") in enabled for flag in _MODULE_FLAGS})
     m.leftovers()
+    model = ModelConfig(**model_kw)
     try:
         model.validate()
     except ValueError as exc:
@@ -193,43 +211,25 @@ def load_config(path: str | Path) -> RunConfig:
 
     t = section("train")
     steps = t.parse("steps", int, None)
-    phase1 = t.parse("phase1_steps", int, None)
-    phase2 = t.parse("phase2_steps", int, None)
-    if phase1 is None and phase2 is None:
-        total = steps if steps is not None else 400
-        phase1 = total // 4  # default 1:3 split between the phases
-        phase2 = total - phase1
-    else:
-        phase1 = phase1 or 0
-        phase2 = phase2 or 0
-    train = TrainConfig(
-        lr=t.parse("lr", float, 0.001),
-        batch=t.parse("batch", int, 2),
-        phase1_steps=phase1,
-        phase2_steps=phase2,
-        seed=t.parse("seed", int, 0),
-        weight_decay=t.parse("weight_decay", float, 0.01),
-    )
+    train_kw = t.parse_fields(TrainConfig, skip=_OPTIMIZER_CONSTANTS)
     t.leftovers()
+    phase_keys = {"phase1_steps", "phase2_steps"} & train_kw.keys()
+    if steps is not None:
+        if phase_keys:
+            raise ConfigError(
+                f"[train] steps cannot be combined with {' / '.join(sorted(phase_keys))}"
+            )
+        train_kw["phase1_steps"] = steps // 4  # default 1:3 split between the phases
+        train_kw["phase2_steps"] = steps - steps // 4
+    elif phase_keys:
+        train_kw.setdefault("phase1_steps", 0)
+        train_kw.setdefault("phase2_steps", 0)
+    train = TrainConfig(**train_kw)
     if train.batch < 1 or train.lr <= 0:
         raise ConfigError("[train] batch must be >= 1 and lr positive")
 
     d = section("data")
-    data = DataConfig(
-        manifest=d.parse("manifest", str, None),
-        n_events=d.parse("n_events", int, 16),
-        train_frac=d.parse("train_frac", float, 0.8),
-        seed=d.parse("seed", int, None),
-        n_blobs=d.parse("n_blobs", int, 3),
-        advect=d.parse("advect", _pair, (0.5, 3.0)),
-        growth=d.parse("growth", _pair, (-0.05, 0.05)),
-        anisotropy=d.parse("anisotropy", _pair, (1.0, 2.5)),
-        noise_amp=d.parse("noise_amp", float, 0.02),
-        cov_hw=d.parse("cov_hw", int, 16),
-        turn=d.parse("turn", _pair, (-0.1, 0.1)),
-        direction_modes=d.parse("direction_modes", int, 0),
-        size=d.parse("size", _pair, (0.045, 0.08)),
-    )
+    data = DataConfig(**d.parse_fields(DataConfig))
     d.leftovers()
     if not 0.0 <= data.train_frac <= 1.0:
         raise ConfigError("[data] train_frac must lie in [0, 1]")
@@ -237,10 +237,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("[data] n_events must be nonnegative")
 
     e = section("eval")
-    ev = EvalConfig(
-        thresholds=e.parse("thresholds", _floats, DEFAULT_THRESHOLDS),
-        model_tag=e.parse("model_tag", str, ""),
-    )
+    ev = EvalConfig(**e.parse_fields(EvalConfig))
     e.leftovers()
     for th in ev.thresholds:
         if not 0.0 <= th <= 255.0:

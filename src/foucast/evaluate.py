@@ -18,27 +18,27 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
+from .config import ConfigError
 from .metrics import ContingencyCounts
 from .model import NowcastModel
-from .synth import CovariateGrid, RadarSequence
+from .synth import CADENCE_MINUTES, CovariateGrid, RadarSequence
 
 
 def default_workers() -> int:
+    """Eval pool size: FOUCAST_THREADS if set (a positive integer), else <= 4."""
     env = os.environ.get("FOUCAST_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"FOUCAST_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass
 class _SampleStats:
-    counts: dict[float, ContingencyCounts]
-    lead_counts: dict[int, dict[float, ContingencyCounts]]
-    sq_err: float
-    abs_err: float
-    n_pix: int
-    ssim_sum: float
-    n_frames: int
+    """Per-lead scores of one sample; every total is a sum over the leads."""
+
+    lead_counts: list[dict[float, ContingencyCounts]]
     lead_sq: np.ndarray
     lead_abs: np.ndarray
     lead_ssim: np.ndarray
@@ -47,32 +47,17 @@ class _SampleStats:
 
 def _score_sample(pred: np.ndarray, target: np.ndarray, thresholds) -> _SampleStats:
     k = pred.shape[0]
-    counts = {t: ContingencyCounts() for t in thresholds}
-    lead_counts = {j: {t: ContingencyCounts() for t in thresholds} for j in range(k)}
-    lead_sq = np.zeros(k)
-    lead_abs = np.zeros(k)
-    lead_ssim = np.zeros(k)
-    lead_pix = np.zeros(k)
-    ssim_sum = 0.0
+    stats = _SampleStats(lead_counts=[], lead_sq=np.zeros(k), lead_abs=np.zeros(k),
+                         lead_ssim=np.zeros(k), lead_pix=np.zeros(k))
     for j in range(k):
         p, g = pred[j, 0], target[j, 0]
-        for t in thresholds:
-            c = metrics.contingency(p, g, t)
-            counts[t] = counts[t] + c
-            lead_counts[j][t] = lead_counts[j][t] + c
+        stats.lead_counts.append({t: metrics.contingency(p, g, t) for t in thresholds})
         d = metrics.PIXEL_SCALE * (p - g)
-        lead_sq[j] = float(np.sum(d * d))
-        lead_abs[j] = float(np.sum(np.abs(d)))
-        lead_pix[j] = d.size
-        s = metrics.ssim(p[None], g[None])
-        lead_ssim[j] = s
-        ssim_sum += s
-    return _SampleStats(
-        counts=counts, lead_counts=lead_counts,
-        sq_err=float(lead_sq.sum()), abs_err=float(lead_abs.sum()),
-        n_pix=int(lead_pix.sum()), ssim_sum=ssim_sum, n_frames=k,
-        lead_sq=lead_sq, lead_abs=lead_abs, lead_ssim=lead_ssim, lead_pix=lead_pix,
-    )
+        stats.lead_sq[j] = float(np.sum(d * d))
+        stats.lead_abs[j] = float(np.sum(np.abs(d)))
+        stats.lead_pix[j] = d.size
+        stats.lead_ssim[j] = metrics.ssim(p[None], g[None])
+    return stats
 
 
 @dataclass
@@ -113,45 +98,38 @@ def evaluate_model(
     else:
         stats = [work(pair) for pair in events]
 
-    report = EvalReport(tag=tag, thresholds=list(thresholds))
-    total = {t: ContingencyCounts() for t in thresholds}
     k = cfg.k_out
-    lead_total = {j: {t: ContingencyCounts() for t in thresholds} for j in range(k)}
-    sq = ab = pix = ssim_sum = frames = 0.0
+    lead_total = [{t: ContingencyCounts() for t in thresholds} for _ in range(k)]
     lead_sq = np.zeros(k)
     lead_ab = np.zeros(k)
     lead_ssim = np.zeros(k)
     lead_pix = np.zeros(k)
     for s in stats:
-        for t in thresholds:
-            total[t] = total[t] + s.counts[t]
         for j in range(k):
             for t in thresholds:
                 lead_total[j][t] = lead_total[j][t] + s.lead_counts[j][t]
-        sq += s.sq_err
-        ab += s.abs_err
-        pix += s.n_pix
-        ssim_sum += s.ssim_sum
-        frames += s.n_frames
         lead_sq += s.lead_sq
         lead_ab += s.lead_abs
         lead_ssim += s.lead_ssim
         lead_pix += s.lead_pix
+    total = {t: sum((lead[t] for lead in lead_total), ContingencyCounts()) for t in thresholds}
+    pix = lead_pix.sum()
 
+    report = EvalReport(tag=tag, thresholds=list(thresholds))
     report.csi = {t: metrics.csi(total[t]) for t in thresholds}
     report.hss = {t: metrics.hss(total[t]) for t in thresholds}
     report.csi_avg = metrics.average_over_thresholds(report.csi)
     report.hss_avg = metrics.average_over_thresholds(report.hss)
-    report.mse = sq / pix
-    report.mae = ab / pix
+    report.mse = float(lead_sq.sum() / pix)
+    report.mae = float(lead_ab.sum() / pix)
     report.psnr = metrics.PSNR_PERFECT if report.mse == 0 else 10.0 * math.log10(
         metrics.PIXEL_SCALE**2 / report.mse
     )
-    report.ssim = ssim_sum / frames
+    report.ssim = float(lead_ssim.sum() / (k * len(stats)))
     for j in range(k):
         m = lead_sq[j] / lead_pix[j]
         report.lead_rows.append({
-            "lead": (j + 1) * 10.0,
+            "lead": (j + 1) * CADENCE_MINUTES,
             "csi": float(np.mean([metrics.csi(lead_total[j][t]) for t in thresholds])),
             "hss": float(np.mean([metrics.hss(lead_total[j][t]) for t in thresholds])),
             "mse": m,

@@ -1,4 +1,4 @@
-"""Training objective and verification metrics.
+"""Verification metrics.
 
 Forecast skill is scored on the 0-255 reflectivity scale: fields arrive in
 [0, 1] and are scaled up before thresholding and before pixel/perceptual
@@ -34,29 +34,6 @@ def _frames(x: np.ndarray) -> np.ndarray:
     if x.ndim < 2:
         raise MetricError(f"need at least 2 dims, got {x.shape}")
     return x.reshape(-1, x.shape[-2], x.shape[-1])
-
-
-# ---------------------------------------------------------------------------
-# training objective
-
-
-def combined_loss(pred: np.ndarray, gt: np.ndarray, lam: float) -> float:
-    """Mean squared error plus ``lam`` times a spectral L1 term.
-
-    The spectral term is the mean complex modulus of the per-frame 2D DFT
-    coefficient difference, averaged over every bin of every frame, so the
-    weight's scale does not depend on resolution or sequence length.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise MetricError(f"lambda must lie in [0, 1], got {lam}")
-    pred, gt = _check_match(pred, gt)
-    mse_term = float(np.mean((pred - gt) ** 2))
-    if lam == 0.0:
-        return mse_term
-    pf = np.fft.fft2(_frames(pred), axes=(1, 2))
-    gf = np.fft.fft2(_frames(gt), axes=(1, 2))
-    spectral_term = float(np.mean(np.abs(pf - gf)))
-    return mse_term + lam * spectral_term
 
 
 # ---------------------------------------------------------------------------

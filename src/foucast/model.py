@@ -18,13 +18,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .modulation import PER_BIN, PER_CHANNEL
 from .params import ParamSet
 from .resample import bilinear_resize, temporal_interp
 from .spectral import half_width
 from .synth import CADENCE_MINUTES, N_COV_CHANNELS, CovariateGrid, RadarSequence
 
 DOWNSAMPLE = 4  # two stride-2 stages in every encoder
+
+PER_BIN = "per_bin"          # modulation scores each (h, w, c) coefficient
+PER_CHANNEL = "per_channel"  # modulation scores each channel over all bins
 
 EPS_ALIGN = 1e-8   # alignment-score denominators
 EPS_FUSE = 1e-6    # phasor-fusion degeneracy fallback
@@ -229,6 +231,12 @@ def mem_encode_tape(frames: np.ndarray, leaves, cfg: ModelConfig) -> Var:
 
 
 def afno_tape(z: Var, leaves, name: str, cfg: ModelConfig) -> Var:
+    """Block-diagonal complex MLP per frequency bin: W2 relu(W1 z + b1) + b2.
+
+    Weights are shared across bins, so only channels mix; the activation is
+    split ReLU.  The same kernel serves the hidden blocks and the channel
+    alignment in front of the memory bank.
+    """
     nb = cfg.n_blocks
     hh, wf, c = z.value.shape
     zb = ad.reshape(z, (hh, wf, nb, c // nb, 1))
@@ -246,7 +254,14 @@ def afno_tape(z: Var, leaves, name: str, cfg: ModelConfig) -> Var:
 
 
 def modulate_tape(f_hid: Var, f_met: Var, beta: Var, cfg: ModelConfig) -> Var:
-    """Tape twin of modulation.modulate with a learnable mixing factor."""
+    """Covariate-guided modulation with a learnable phase-mixing factor.
+
+    Amplitudes are reweighted by a softmax over channels of the phase-alignment
+    scores against the covariate spectrum; phases are fused by interpolating
+    unit phasors, falling back to the hidden phasor where the interpolation
+    nearly cancels.  Fusion never changes magnitudes: the output modulus is
+    exactly the reweighted amplitude.
+    """
     if cfg.pfm_mode == PER_BIN:
         num = ad.creal(ad.mul(f_hid, ad.conj(f_met)))
         den = ad.add(ad.mul(ad.cabs(f_hid), ad.cabs(f_met)), EPS_ALIGN)
@@ -269,7 +284,11 @@ def modulate_tape(f_hid: Var, f_met: Var, beta: Var, cfg: ModelConfig) -> Var:
 
 
 def memory_match_tape(query: Var, slots: Var) -> tuple[Var, Var]:
-    """Per-bin softmax attention over unit-normalized slots; (alpha, f_match)."""
+    """Per-bin softmax attention over unit-normalized slots; (alpha, f_match).
+
+    f_match is a convex combination of unit-modulus slot entries, so
+    |f_match| <= 1 and doubles as a confidence for the phase rotation.
+    """
     q = ad.cunit(query, EPS_UNIT)
     m = ad.cunit(slots, EPS_UNIT)
     scores = ad.creal(ad.matmul(q, ad.transpose(ad.conj(m), (1, 0))))
@@ -279,6 +298,12 @@ def memory_match_tape(query: Var, slots: Var) -> tuple[Var, Var]:
 
 
 def phase_align_tape(f_hid: Var, f_match: Var) -> Var:
+    """Rotate hidden phases toward the matched phases by (1 - sim)/2 of the arc.
+
+    sim = |f_match| cos(dphi) keeps the matched amplitude unnormalized, so
+    low-confidence matches rotate less; entries with |f_match| < EPS_FUSE pass
+    through.  Magnitudes are preserved exactly.
+    """
     unit_hid = ad.cunit(f_hid, EPS_UNIT)
     sim = ad.creal(ad.mul(unit_hid, ad.conj(f_match)))
     w_phase = ad.mul(ad.sub(1.0, sim), 0.5)
@@ -290,6 +315,12 @@ def phase_align_tape(f_hid: Var, f_match: Var) -> Var:
 
 
 def attention_tape(z: Var, leaves, layer: int, cfg: ModelConfig) -> Var:
+    """Per-frequency attention plus the gated reinjection of what it discards.
+
+    The elementwise product tends to act as a low-pass filter; the per-channel
+    gate adds back the residual.  At gate 1 the block is the identity, at
+    gate 0 it is the bare attention.
+    """
     w = leaves[f"blk{layer}.attn"]
     f_out = ad.mul(w, z)
     if not cfg.enable_ifa:
@@ -385,7 +416,12 @@ def forward_tape(
 
 
 def loss_tape(pred: Var, gt_frames: np.ndarray, lam: float) -> Var:
-    """Combined objective on the tape: MSE plus lam * spectral L1."""
+    """Combined objective on the tape: MSE plus lam * spectral L1.
+
+    The spectral term is the mean modulus of the per-frame 2D DFT difference
+    over every bin of every frame, so the weight's scale does not depend on
+    resolution or sequence length.
+    """
     gt = gt_frames.reshape(pred.value.shape)
     diff = ad.sub(pred, gt)
     loss = ad.mean(ad.mul(diff, diff))

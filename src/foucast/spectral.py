@@ -1,4 +1,4 @@
-"""Complex spectra, 2D discrete Fourier transforms, and polar/phasor algebra.
+"""Complex spectra and 2D discrete Fourier transforms.
 
 Conventions used by the whole package:
 
@@ -10,13 +10,10 @@ Conventions used by the whole package:
   ``layout`` selects between the stored half and the full spectrum.  The half
   layout drops the conjugate-redundant columns, so inversion needs the
   original ``width``.
-* Zero-magnitude entries carry phase 0; ``unit_normalize`` maps near-zero
-  entries to the unit phasor ``1+0j``.
+* ``unit_normalize`` maps near-zero entries to the unit phasor ``1+0j``.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +23,6 @@ FULL = "full"
 
 class SpectralError(ValueError):
     """Invalid input to a spectral operation."""
-
-
-class PolarSpectrum(NamedTuple):
-    """Polar decomposition of a complex spectrum."""
-
-    amplitude: np.ndarray  # >= 0
-    phase: np.ndarray      # wrapped to (-pi, pi]
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -114,30 +104,6 @@ def dft2_inverse(z: np.ndarray, width: int | None = None, layout: str = HALF) ->
     return np.fft.ifft2(full, axes=(0, 1)).real
 
 
-def to_polar(z: np.ndarray) -> PolarSpectrum:
-    """Amplitude/phase decomposition; zero entries map to (0, 0)."""
-    z = _as_spectrum(z)
-    amplitude = np.abs(z)
-    phase = np.where(amplitude > 0.0, np.angle(z), 0.0)
-    return PolarSpectrum(amplitude=amplitude, phase=phase)
-
-
-def from_polar(p: PolarSpectrum | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Recombine amplitude and phase into complex coefficients."""
-    amplitude, phase = p
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    if np.any(amplitude < 0.0):
-        raise SpectralError("negative amplitude")
-    return amplitude * np.exp(1j * np.asarray(phase, dtype=np.float64))
-
-
-def phasor(phi: np.ndarray) -> np.ndarray:
-    """Unit phasor exp(j*phi), elementwise."""
-    phi = np.asarray(phi, dtype=np.float64)
-    _require_finite(phi, "phase")
-    return np.exp(1j * phi)
-
-
 def unit_normalize(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """z / |z| elementwise; entries with |z| < eps map to 1+0j."""
     if eps <= 0.0:
@@ -148,13 +114,6 @@ def unit_normalize(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     out = np.divide(z, np.where(small, 1.0, mag))
     out[small] = 1.0 + 0.0j
     return out
-
-
-def wrap_phase(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi]."""
-    phi = np.asarray(phi, dtype=np.float64)
-    wrapped = np.mod(-phi + np.pi, 2.0 * np.pi)
-    return np.pi - wrapped
 
 
 def parseval_energy(x: np.ndarray, z: np.ndarray, layout: str = HALF) -> tuple[float, float]:

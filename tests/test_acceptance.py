@@ -11,11 +11,8 @@ import numpy as np
 import pytest
 
 from foucast import autodiff as ad
-from foucast.afno import AfnoWeights, afno_apply
-from foucast.attention import freq_attention, reinject_highfreq
 from foucast.autodiff import Var, grad_check, no_grad
 from foucast.checkpoint import load_checkpoint, save_checkpoint
-from foucast.memory import MemoryBank, init_bank, memory_match, phase_align
 from foucast.metrics import (
     average_over_thresholds,
     contingency,
@@ -27,19 +24,23 @@ from foucast.metrics import (
 from foucast.model import (
     ModelConfig,
     NowcastModel,
+    attention_tape,
     forward_tape,
     hidden_forward_tape,
     init_params,
     loss_tape,
     make_leaves,
+    memory_match_tape,
+    modulate_tape,
+    phase_align_tape,
     regrid,
 )
-from foucast.modulation import ModulationParams, alignment_scores, alignment_weights, modulate
 from foucast.params import ParamSet
 from foucast.spectral import dft2_forward, dft2_inverse, parseval_energy, unit_normalize
 from foucast.synth import CADENCE_MINUTES, SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, TrainState, train_model
 from foucast.metrics import mae as mae_metric, mse as mse_metric
+from oracles import alignment_scores, alignment_weights, memory_match, numpy_hidden_composition
 
 
 def announce(tag: str, ok: bool, detail: str) -> None:
@@ -98,6 +99,11 @@ def test_criterion_2_fusion_invariants():
     start = time.time()
     rng = np.random.default_rng(1002)
     n = 1000
+    cfg = ModelConfig(c_emb=4)
+
+    def attend(f, wl, gate):
+        leaves = {"blk0.attn": Var(wl), "blk0.gate": Var(gate)}
+        return attention_tape(Var(f), leaves, 0, cfg).value
 
     w_sum_err = s_bound = fuse_mag_err = mod_mag_err = 0.0
     for _ in range(n):
@@ -110,7 +116,9 @@ def test_criterion_2_fusion_invariants():
         assert np.all(w >= 0)
         beta = float(rng.uniform(0.05, 0.95))
         logit = float(np.log(beta / (1 - beta)))
-        out = modulate(fh, fm, ModulationParams(beta_logit=logit))
+        with no_grad():
+            mix = ad.sigmoid(Var(np.array(logit)))
+            out = modulate_tape(Var(fh), Var(fm), mix, cfg).value
         p = out / np.where(np.abs(out) < 1e-300, 1.0, np.abs(out))
         fuse_mag_err = max(fuse_mag_err, float(np.max(np.abs(np.abs(p) - 1.0))))
         mod_mag_err = max(
@@ -119,17 +127,19 @@ def test_criterion_2_fusion_invariants():
 
     sim_bound = wp_bound = match_bound = align_mag_err = 0.0
     for _ in range(n):
-        bank = init_bank(int(rng.integers(1, 9)), 4, rng)
+        slots = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 9)), 4)))
         q = rand_spectrum(rng, 3, 4, 4)
         fh = rand_spectrum(rng, 3, 4, 4)
-        res = memory_match(q, bank)
-        match_bound = max(match_bound, float(np.max(np.abs(res.f_match))) - 1.0)
+        with no_grad():
+            _, f_match = memory_match_tape(Var(q), Var(slots))
+            out = phase_align_tape(Var(fh), f_match).value
+        f_match = f_match.value
+        match_bound = max(match_bound, float(np.max(np.abs(f_match))) - 1.0)
         unit_h = unit_normalize(fh)
-        sim = (unit_h * np.conj(res.f_match)).real
+        sim = (unit_h * np.conj(f_match)).real
         sim_bound = max(sim_bound, float(np.max(np.abs(sim))) - 1.0)
         wp = 0.5 * (1 - sim)
         wp_bound = max(wp_bound, float(max(np.max(wp) - 1.0, -np.min(wp))))
-        out = phase_align(fh, res.f_match)
         align_mag_err = max(
             align_mag_err, float(np.max(np.abs(np.abs(out) - np.abs(fh))))
         )
@@ -139,14 +149,13 @@ def test_criterion_2_fusion_invariants():
         f = rand_spectrum(rng, 3, 4, 4)
         wl = rand_spectrum(rng, 3, 4, 4)
         scale = max(1.0, float(np.max(np.abs(f))))
-        ident = reinject_highfreq(f, wl, np.ones(4))
+        with no_grad():
+            ident = attend(f, wl, np.ones(4))
+            red = attend(f, wl, np.zeros(4))
         ifa_identity_err = max(
             ifa_identity_err, float(np.max(np.abs(ident - f))) / scale
         )
-        red = reinject_highfreq(f, wl, np.zeros(4))
-        ifa_reduce_err = max(
-            ifa_reduce_err, float(np.max(np.abs(red - freq_attention(f, wl))))
-        )
+        ifa_reduce_err = max(ifa_reduce_err, float(np.max(np.abs(red - wl * f))))
 
     elapsed = time.time() - start
     ok = (
@@ -169,28 +178,6 @@ def test_criterion_2_fusion_invariants():
 # -- 3: composition oracle ----------------------------------------------------
 
 
-def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
-    z = dft2_forward(h)
-    if cov_emb is not None:
-        zm = dft2_forward(cov_emb)
-        z = modulate(z, zm, ModulationParams(float(params["mod.beta_logit"])),
-                     mode=cfg.pfm_mode)
-    if f_match is not None:
-        z = phase_align(z, f_match, eps=1e-6)
-    for layer in range(cfg.depth_l):
-        attn = params[f"blk{layer}.attn"]
-        if cfg.enable_ifa:
-            z = reinject_highfreq(z, attn, params[f"blk{layer}.gate"])
-        else:
-            z = freq_attention(z, attn)
-        w = AfnoWeights(
-            w1=params[f"blk{layer}.afno.w1"], w2=params[f"blk{layer}.afno.w2"],
-            b1=params[f"blk{layer}.afno.b1"], b2=params[f"blk{layer}.afno.b2"],
-        )
-        z = afno_apply(z, w)
-    return dft2_inverse(z, width=cfg.hidden_hw)
-
-
 def test_criterion_3_composition_oracle():
     worst = 0.0
     for seed in range(20):
@@ -203,7 +190,7 @@ def test_criterion_3_composition_oracle():
         h = rng.standard_normal((16, 16, 8))
         cov_emb = rng.standard_normal((16, 16, 8))
         query = rand_spectrum(rng, 16, 9, 8)
-        f_match = memory_match(query, MemoryBank(slots=params["memory.slots"])).f_match
+        f_match = memory_match(query, params["memory.slots"])[1]
         with no_grad():
             got = hidden_forward_tape(
                 Var(h), Var(cov_emb), Var(f_match), make_leaves(params), cfg

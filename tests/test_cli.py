@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foucast.cli import main
-from foucast.config import ConfigError, load_config
+from foucast.config import ConfigError, RunConfig, load_config
 
 TINY_INI = """\
 [model]
@@ -58,11 +58,18 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg.model.enable_pfm and not cfg.model.enable_fm and cfg.model.enable_ifa
     assert cfg.eval.thresholds == (16.0, 74.0)
     assert cfg.tag() == "pfm+ifa"
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    assert load_config(empty) == RunConfig()
 
 
 def test_config_unknown_key_named(tmp_path):
     ini = write_ini(tmp_path / "c.ini", model_extra="banana = 1")
     with pytest.raises(ConfigError, match=r"\[model\] banana"):
+        load_config(ini)
+    # optimizer constants are dataclass fields but not config keys
+    ini.write_text("[train]\nbeta1 = 0.8\n")
+    with pytest.raises(ConfigError, match=r"\[train\] beta1"):
         load_config(ini)
 
 
@@ -77,6 +84,13 @@ def test_config_steps_split_default(tmp_path):
     ini.write_text("[train]\nsteps = 400\n")
     cfg = load_config(ini)
     assert cfg.train.phase1_steps == 100 and cfg.train.phase2_steps == 300
+
+
+def test_config_steps_conflicts_with_phase_keys(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[train]\nsteps = 1000\nphase1_steps = 10\n")
+    with pytest.raises(ConfigError, match="steps cannot be combined with phase1_steps"):
+        load_config(ini)
 
 
 def test_config_missing_file():
@@ -197,6 +211,16 @@ def test_eval_config_mismatch_rejected(tmp_path, capsys):
                "--manifest", str(data / "manifest.txt"), "--out", str(run)])
     assert rc != 0
     assert "fusion_per_block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_eval_bad_thread_count_fails_before_work(tmp_path, monkeypatch, capsys, value):
+    ini = write_ini(tmp_path / "c.ini")
+    monkeypatch.setenv("FOUCAST_THREADS", value)
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(tmp_path / "none.ckpt"),
+               "--manifest", str(tmp_path / "none.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "FOUCAST_THREADS" in capsys.readouterr().err
 
 
 def test_thread_pool_reduction_deterministic(monkeypatch):

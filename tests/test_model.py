@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from foucast import autodiff as ad
-from foucast.afno import AfnoWeights, afno_apply
-from foucast.attention import freq_attention, reinject_highfreq
 from foucast.autodiff import Var, backward, no_grad
-from foucast.memory import MemoryBank, memory_match, phase_align
 from foucast.model import (
     ModelConfig,
     ModelError,
@@ -20,9 +16,9 @@ from foucast.model import (
     mem_encode_tape,
     regrid,
 )
-from foucast.modulation import ModulationParams, modulate
-from foucast.spectral import dft2_forward, dft2_inverse, unit_normalize
+from foucast.spectral import dft2_forward, unit_normalize
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
+from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition
 
 
 def micro_cfg(**kw):
@@ -156,7 +152,6 @@ def test_mem_encode_is_dft_of_encoder_output():
 
 def test_phase2_query_is_two_step_composition():
     """Input query equals channel alignment applied to the encoded spectrum."""
-    from foucast.afno import AfnoWeights, channel_align
     from foucast.model import afno_tape
 
     cfg = micro_cfg()
@@ -166,9 +161,8 @@ def test_phase2_query_is_two_step_composition():
     with no_grad():
         encoded = mem_encode_tape(seq, leaves, cfg)
         query = afno_tape(encoded, leaves, "align", cfg)
-    w = AfnoWeights(w1=params["align.w1"], w2=params["align.w2"],
-                    b1=params["align.b1"], b2=params["align.b2"])
-    want = channel_align(encoded.value, w)
+    want = afno_apply(encoded.value, params["align.w1"], params["align.w2"],
+                      params["align.b1"], params["align.b2"])
     assert query.value.shape == (cfg.hidden_hw, cfg.wf, cfg.c_emb)
     assert np.max(np.abs(query.value - want)) < 1e-15
 
@@ -213,29 +207,6 @@ def test_hidden_forward_zero_input():
     assert np.all(out.value == 0.0)
 
 
-def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
-    """Independent step-by-step composition of the library operations."""
-    z = dft2_forward(h)
-    if cov_emb is not None:
-        zm = dft2_forward(cov_emb)
-        z = modulate(z, zm, ModulationParams(float(params["mod.beta_logit"])),
-                     mode=cfg.pfm_mode)
-    if f_match is not None:
-        z = phase_align(z, f_match, eps=1e-6)
-    for layer in range(cfg.depth_l):
-        attn = params[f"blk{layer}.attn"]
-        if cfg.enable_ifa:
-            z = reinject_highfreq(z, attn, params[f"blk{layer}.gate"])
-        else:
-            z = freq_attention(z, attn)
-        w = AfnoWeights(
-            w1=params[f"blk{layer}.afno.w1"], w2=params[f"blk{layer}.afno.w2"],
-            b1=params[f"blk{layer}.afno.b1"], b2=params[f"blk{layer}.afno.b2"],
-        )
-        z = afno_apply(z, w)
-    return dft2_inverse(z, width=cfg.hidden_hw)
-
-
 @pytest.mark.parametrize("seed,mode", [(0, "per_bin"), (1, "per_bin"), (2, "per_channel")])
 def test_hidden_forward_matches_numpy_composition(seed, mode):
     rng = np.random.default_rng(seed)
@@ -244,7 +215,7 @@ def test_hidden_forward_matches_numpy_composition(seed, mode):
     h = rand_field(rng, 8, 8, 8)
     cov_emb = rand_field(rng, 8, 8, 8)
     query = rng.standard_normal((8, 5, 8)) + 1j * rng.standard_normal((8, 5, 8))
-    f_match = memory_match(query, MemoryBank(slots=params["memory.slots"])).f_match
+    f_match = memory_match(query, params["memory.slots"])[1]
 
     with no_grad():
         got = hidden_forward_tape(
@@ -368,8 +339,6 @@ def test_config_validation():
 
 
 def test_loss_tape_matches_numpy_combined_loss():
-    from foucast.metrics import combined_loss
-
     rng = np.random.default_rng(10)
     pred = rng.random((3, 1, 8, 8))
     gt = rng.random((3, 1, 8, 8))

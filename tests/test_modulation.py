@@ -1,20 +1,32 @@
 import numpy as np
 import pytest
 
-from foucast.modulation import (
-    PER_CHANNEL,
-    ModulationError,
-    ModulationParams,
-    alignment_scores,
-    alignment_weights,
-    amplitude_reweight,
-    modulate,
-    phasor_fuse,
-)
+from foucast import autodiff as ad
+from foucast.autodiff import Var, no_grad
+from foucast.model import PER_BIN, PER_CHANNEL, ModelConfig, modulate_tape
+from oracles import alignment_weights
 
 
 def rand_spectrum(rng, h, w, c):
     return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
+
+
+def modulate(f_hid, f_met, beta_logit=0.0, mode=PER_BIN):
+    with no_grad():
+        beta = ad.sigmoid(Var(np.array(beta_logit)))
+        return modulate_tape(Var(f_hid), Var(f_met), beta, ModelConfig(pfm_mode=mode)).value
+
+
+def weights(f_hid, f_met, mode=PER_BIN):
+    """Channel weights read back from the output modulus |out| = w * |f_hid|."""
+    return np.abs(modulate(f_hid, f_met, mode=mode)) / np.abs(f_hid)
+
+
+def phasor_fuse(phi_hid, phi_met, beta):
+    """Modulation of single-channel unit phasors: exactly the fused phasor."""
+    logit = float(np.log(beta / (1.0 - beta)))
+    return modulate(np.exp(1j * phi_hid)[:, None, None],
+                    np.exp(1j * phi_met)[:, None, None], logit)[:, 0, 0]
 
 
 def weights_oracle(f_hid, f_met, eps):
@@ -35,7 +47,7 @@ def weights_oracle(f_hid, f_met, eps):
 def test_identical_inputs_give_uniform_weights():
     rng = np.random.default_rng(0)
     f = rand_spectrum(rng, 4, 3, 5)
-    w = alignment_weights(f, f)
+    w = weights(f, f)
     assert np.allclose(w, 1.0 / 5.0, atol=1e-9)
 
 
@@ -43,14 +55,14 @@ def test_single_channel_weight_is_one():
     rng = np.random.default_rng(1)
     f = rand_spectrum(rng, 4, 4, 1)
     g = rand_spectrum(rng, 4, 4, 1)
-    assert np.allclose(alignment_weights(f, g), 1.0)
+    assert np.allclose(weights(f, g), 1.0)
 
 
 def test_weights_match_brute_force_oracle():
     rng = np.random.default_rng(2)
     f = rand_spectrum(rng, 5, 4, 4)
     g = rand_spectrum(rng, 5, 4, 4)
-    got = alignment_weights(f, g, eps=1e-8)
+    got = weights(f, g)
     want = weights_oracle(f, g, eps=1e-8)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -60,9 +72,9 @@ def test_scores_bounded_and_weights_normalized():
     for _ in range(50):
         f = rand_spectrum(rng, 3, 3, 4)
         g = rand_spectrum(rng, 3, 3, 4)
-        s = alignment_scores(f, g)
-        assert np.all(s >= -1.0 - 1e-12) and np.all(s <= 1.0 + 1e-12)
-        w = alignment_weights(f, g)
+        w = weights(f, g)
+        # scores in [-1, 1] bound the log-ratio of any two softmax weights by 2
+        assert np.max(np.log(w.max(axis=-1) / w.min(axis=-1))) <= 2.0 + 1e-12
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
         assert np.all(w >= 0)
 
@@ -70,21 +82,10 @@ def test_scores_bounded_and_weights_normalized():
 def test_per_channel_mode():
     rng = np.random.default_rng(4)
     f = rand_spectrum(rng, 4, 4, 3)
-    w = alignment_weights(f, f, mode=PER_CHANNEL)
+    w = weights(f, f, mode=PER_CHANNEL)
     # one score per channel, broadcast over bins, softmax of equal scores
     assert np.allclose(w, 1.0 / 3.0, atol=1e-9)
     assert np.allclose(w[0, 0], w[2, 3])
-
-
-def test_amplitude_reweight():
-    rng = np.random.default_rng(5)
-    a = np.abs(rng.standard_normal((3, 3, 2)))
-    assert np.array_equal(amplitude_reweight(a, np.ones_like(a)), a)
-    assert np.all(amplitude_reweight(a, np.zeros_like(a)) == 0)
-    w = rng.uniform(0, 2, a.shape)
-    assert np.array_equal(amplitude_reweight(a, w), a * w)
-    with pytest.raises(ModulationError):
-        amplitude_reweight(-a, w)
 
 
 def test_phasor_fuse_limits_and_midpoint():
@@ -106,22 +107,17 @@ def test_phasor_fuse_antipodal_fallback():
     assert fused[0] == 1.0 + 0.0j  # hidden phasor, no error
 
 
-def test_phasor_fuse_validates_beta():
-    with pytest.raises(ModulationError):
-        phasor_fuse(np.zeros(1), np.zeros(1), beta=1.0)
-
-
 def test_modulate_identity_when_single_channel_same_field():
     rng = np.random.default_rng(6)
     f = rand_spectrum(rng, 4, 4, 1)
-    out = modulate(f, f, ModulationParams(beta_logit=0.0))
+    out = modulate(f, f, beta_logit=0.0)
     assert np.max(np.abs(out - f)) < 1e-12
 
 
 def test_modulate_zero_hidden_gives_zero():
     rng = np.random.default_rng(7)
     f_met = rand_spectrum(rng, 3, 3, 2)
-    out = modulate(np.zeros((3, 3, 2), dtype=complex), f_met, ModulationParams())
+    out = modulate(np.zeros((3, 3, 2), dtype=complex), f_met)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -130,16 +126,15 @@ def test_modulate_matches_step_by_step_composition():
     rng = np.random.default_rng(8)
     f_hid = rand_spectrum(rng, 5, 4, 4)
     f_met = rand_spectrum(rng, 5, 4, 4)
-    params = ModulationParams(beta_logit=0.4)
+    beta = 1.0 / (1.0 + np.exp(-0.4))
 
     w = weights_oracle(f_hid, f_met, eps=1e-8)
     amp = np.abs(f_hid) * w
-    phi_h = np.angle(f_hid)
-    phi_m = np.angle(f_met)
-    fused = phasor_fuse(phi_h, phi_m, beta=params.beta)
+    z = beta * np.exp(1j * np.angle(f_hid)) + (1.0 - beta) * np.exp(1j * np.angle(f_met))
+    fused = z / np.abs(z)
     want = amp * fused
 
-    got = modulate(f_hid, f_met, params)
+    got = modulate(f_hid, f_met, beta_logit=0.4)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -148,7 +143,7 @@ def test_modulate_magnitude_equals_reweighted_amplitude():
     for _ in range(50):
         f_hid = rand_spectrum(rng, 4, 3, 3)
         f_met = rand_spectrum(rng, 4, 3, 3)
-        out = modulate(f_hid, f_met, ModulationParams(beta_logit=-0.7))
+        out = modulate(f_hid, f_met, beta_logit=-0.7)
         w = alignment_weights(f_hid, f_met)
         assert np.max(np.abs(np.abs(out) - w * np.abs(f_hid))) < 1e-12
 
@@ -162,7 +157,7 @@ def test_fused_phase_on_geodesic():
     p_met = f_met / np.abs(f_met)
     want = np.angle(beta * p_hid + (1 - beta) * p_met)
     logit = float(np.log(beta / (1 - beta)))
-    out = modulate(f_hid, f_met, ModulationParams(beta_logit=logit))
+    out = modulate(f_hid, f_met, beta_logit=logit)
     mask = np.abs(out) > 1e-9
     assert np.allclose(np.angle(out)[mask], want[mask], atol=1e-9)
 
@@ -181,5 +176,5 @@ def test_beta_monotone_phase_path():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ModulationError):
-        alignment_weights(np.zeros((2, 2, 2), complex), np.zeros((2, 2, 3), complex))
+    with pytest.raises(ValueError):
+        modulate(np.zeros((2, 2, 2), complex), np.zeros((2, 2, 3), complex))

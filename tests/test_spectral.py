@@ -6,13 +6,9 @@ from foucast.spectral import (
     SpectralError,
     dft2_forward,
     dft2_inverse,
-    from_polar,
     hermitian_expand,
     parseval_energy,
-    phasor,
-    to_polar,
     unit_normalize,
-    wrap_phase,
 )
 
 
@@ -113,48 +109,6 @@ def test_non_finite_input_rejected():
         dft2_inverse(z, width=2)
 
 
-def test_to_polar_basics():
-    z = np.array([[[1.0 + 0.0j, 0.0 + 0.0j]]])
-    p = to_polar(z)
-    assert p.amplitude[0, 0, 0] == 1.0
-    assert p.phase[0, 0, 0] == 0.0
-    # zero-phase convention for zero entries
-    assert p.amplitude[0, 0, 1] == 0.0
-    assert p.phase[0, 0, 1] == 0.0
-
-
-def test_polar_round_trip():
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal((4, 4, 2)) + 1j * rng.standard_normal((4, 4, 2))
-    back = from_polar(to_polar(z))
-    assert np.max(np.abs(back - z)) < 1e-12
-
-
-def test_from_polar_cases():
-    z = from_polar((np.array([1.0]), np.array([np.pi / 2])))
-    assert abs(z[0] - 1j) < 1e-12
-    z = from_polar((np.array([0.0]), np.array([2.3])))
-    assert abs(z[0]) == 0.0
-    with pytest.raises(SpectralError):
-        from_polar((np.array([-1.0]), np.array([0.0])))
-
-
-def test_from_polar_magnitude_oracle():
-    rng = np.random.default_rng(6)
-    amp = rng.uniform(0, 3, size=(5, 5, 2))
-    phi = rng.uniform(-np.pi, np.pi, size=(5, 5, 2))
-    z = from_polar((amp, phi))
-    assert np.max(np.abs(np.abs(z) - amp)) < 1e-12
-
-
-def test_phasor():
-    assert phasor(np.array(0.0)) == 1.0 + 0.0j
-    assert abs(phasor(np.array(np.pi)) - (-1.0 + 0.0j)) < 1e-15
-    rng = np.random.default_rng(7)
-    phi = rng.uniform(-10, 10, size=(6, 4, 3))
-    assert np.max(np.abs(np.abs(phasor(phi)) - 1.0)) < 1e-12
-
-
 def test_unit_normalize():
     z = np.array([3.0 + 4.0j])
     assert np.allclose(unit_normalize(z), [0.6 + 0.8j], atol=1e-15)
@@ -163,15 +117,6 @@ def test_unit_normalize():
     z = rng.standard_normal((4, 4, 2)) + 1j * rng.standard_normal((4, 4, 2))
     out = unit_normalize(z, eps=1e-12)
     assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
-
-
-def test_wrap_phase_range_and_values():
-    phi = np.array([0.0, np.pi, -np.pi, 3 * np.pi / 2, -3 * np.pi / 2, 7.0])
-    w = wrap_phase(phi)
-    assert np.all(w > -np.pi) and np.all(w <= np.pi)
-    assert np.allclose(np.exp(1j * w), np.exp(1j * phi), atol=1e-12)
-    assert w[1] == pytest.approx(np.pi)
-    assert w[2] == pytest.approx(np.pi)
 
 
 def test_parseval():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foucast import tensorfile
-from foucast.modulation import PER_CHANNEL, alignment_scores
+from foucast.model import PER_CHANNEL
 from foucast.resample import bilinear_resize, temporal_interp
 from foucast.spectral import dft2_forward
 from foucast.synth import (
@@ -16,6 +16,7 @@ from foucast.synth import (
     read_manifest,
     synth_dataset,
 )
+from oracles import alignment_scores
 
 
 # --- tensor files -----------------------------------------------------------
