@@ -286,7 +286,8 @@ def cos(x) -> Var:
 def sigmoid(x) -> Var:
     x = as_var(x)
     v = x.value
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
         return (g * out * (1.0 - out),)

@@ -8,6 +8,7 @@ that scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,11 +68,14 @@ def contingency(pred: np.ndarray, gt: np.ndarray, threshold: float) -> Contingen
     pred, gt = _check_match(pred, gt)
     pe = pred * PIXEL_SCALE >= threshold
     ge = gt * PIXEL_SCALE >= threshold
+    hits = int(np.count_nonzero(pe & ge))
+    n_pe = int(np.count_nonzero(pe))
+    n_ge = int(np.count_nonzero(ge))
     return ContingencyCounts(
-        hits=int(np.sum(pe & ge)),
-        misses=int(np.sum(~pe & ge)),
-        false_alarms=int(np.sum(pe & ~ge)),
-        correct_negatives=int(np.sum(~pe & ~ge)),
+        hits=hits,
+        misses=n_ge - hits,
+        false_alarms=n_pe - hits,
+        correct_negatives=pe.size - n_pe - n_ge + hits,
     )
 
 
@@ -107,11 +111,23 @@ def psnr(pred: np.ndarray, gt: np.ndarray) -> float:
     return 10.0 * math.log10(PIXEL_SCALE**2 / err)
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+@functools.lru_cache(maxsize=16)
+def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
+    """(n - window + 1, n) matrix whose row i holds the normalised 1-D taps at i.
+
+    The 2-D window is the outer product of these taps, so the windowed mean
+    of a frame over all valid positions is ``band_h @ x @ band_w.T``.  The
+    cached array is shared by every caller (and eval pool thread), so it is
+    read-only.
+    """
+    half = (window - 1) / 2.0
+    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma**2))
+    g /= g.sum()
+    band = np.zeros((n - window + 1, n))
+    for i in range(n - window + 1):
+        band[i, i : i + window] = g
+    band.setflags(write=False)
+    return band
 
 
 def ssim(
@@ -125,20 +141,21 @@ def ssim(
     """Structural similarity with a Gaussian window, valid positions only.
 
     Inputs are (..., H, W) stacks in [0, 1]; frames are scored independently
-    on the 0-255 scale and the scores averaged.
+    on the 0-255 scale and the scores averaged.  The Gaussian window is
+    applied separably, rows then columns.
     """
     pred, gt = _check_match(pred, gt)
     pf = _frames(pred) * PIXEL_SCALE
     gf = _frames(gt) * PIXEL_SCALE
     if pf.shape[1] < window or pf.shape[2] < window:
         raise MetricError(f"frame {pf.shape[1:]} smaller than {window}x{window} window")
-    kern = gaussian_window(window, sigma)
+    band_h = _gaussian_band(pf.shape[1], window, sigma)
+    band_w_t = _gaussian_band(pf.shape[2], window, sigma).T
     c1 = (k1 * PIXEL_SCALE) ** 2
     c2 = (k2 * PIXEL_SCALE) ** 2
 
     def w_mean(x):
-        win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(1, 2))
-        return np.einsum("nhwij,ij->nhw", win, kern)
+        return band_h @ x @ band_w_t
 
     mu_p = w_mean(pf)
     mu_g = w_mean(gf)

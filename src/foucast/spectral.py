@@ -10,7 +10,6 @@ Conventions used by the whole package:
   ``layout`` selects between the stored half and the full spectrum.  The half
   layout drops the conjugate-redundant columns, so inversion needs the
   original ``width``.
-* ``unit_normalize`` maps near-zero entries to the unit phasor ``1+0j``.
 """
 
 from __future__ import annotations
@@ -102,18 +101,6 @@ def dft2_inverse(z: np.ndarray, width: int | None = None, layout: str = HALF) ->
     else:
         raise SpectralError(f"unknown layout {layout!r}")
     return np.fft.ifft2(full, axes=(0, 1)).real
-
-
-def unit_normalize(z: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """z / |z| elementwise; entries with |z| < eps map to 1+0j."""
-    if eps <= 0.0:
-        raise SpectralError("eps must be positive")
-    z = _as_spectrum(z)
-    mag = np.abs(z)
-    small = mag < eps
-    out = np.divide(z, np.where(small, 1.0, mag))
-    out[small] = 1.0 + 0.0j
-    return out
 
 
 def parseval_energy(x: np.ndarray, z: np.ndarray, layout: str = HALF) -> tuple[float, float]:

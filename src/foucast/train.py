@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .model import NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
+from .model import EPS_UNIT, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OptimizerState, adamw_step, init_state
-from .spectral import unit_normalize
 from .synth import CovariateGrid, RadarSequence
 
 
@@ -110,7 +109,8 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     frozen = frozenset({"memory.slots"}) if model.frozen_memory else frozenset()
     model.params, state.opt = adamw_step(model.params, grads, state.opt, frozen=frozen)
     if not model.frozen_memory:
-        model.params["memory.slots"] = unit_normalize(model.params["memory.slots"])
+        with ad.no_grad():
+            model.params["memory.slots"] = ad.cunit(model.params["memory.slots"], EPS_UNIT).value
     state.history.append((state.step, phase, loss_value))
     state.step += 1
     return loss_value

@@ -2,13 +2,32 @@
 
 The library runs each operator once, as a tape function in ``foucast.model``.
 These plain-array versions are written without the tape so tests can check
-the tape functions against separately stated math.
+the tape functions against separately stated math.  The 2-D SSIM window is
+kept here too: the library applies it separably.
 """
 
 import numpy as np
 
 from foucast.model import PER_BIN, PER_CHANNEL
-from foucast.spectral import dft2_forward, dft2_inverse, unit_normalize
+from foucast.spectral import dft2_forward, dft2_inverse
+
+
+def unit_normalize(z, eps=1e-12):
+    """z / |z| elementwise; entries with |z| < eps map to 1+0j."""
+    z = np.asarray(z, dtype=np.complex128)
+    mag = np.abs(z)
+    small = mag < eps
+    out = np.divide(z, np.where(small, 1.0, mag))
+    out[small] = 1.0 + 0.0j
+    return out
+
+
+def gaussian_window(size=11, sigma=1.5):
+    """Normalised 2-D Gaussian SSIM window, built as a full 2-D array."""
+    half = (size - 1) / 2.0
+    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
+    k = np.outer(g, g)
+    return k / k.sum()
 
 
 def afno_apply(z, w1, w2, b1, b2):

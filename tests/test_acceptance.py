@@ -17,7 +17,6 @@ from foucast.metrics import (
     average_over_thresholds,
     contingency,
     csi,
-    gaussian_window,
     hss,
     ssim,
 )
@@ -36,11 +35,18 @@ from foucast.model import (
     regrid,
 )
 from foucast.params import ParamSet
-from foucast.spectral import dft2_forward, dft2_inverse, parseval_energy, unit_normalize
+from foucast.spectral import dft2_forward, dft2_inverse, parseval_energy
 from foucast.synth import CADENCE_MINUTES, SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, TrainState, train_model
 from foucast.metrics import mae as mae_metric, mse as mse_metric
-from oracles import alignment_scores, alignment_weights, memory_match, numpy_hidden_composition
+from oracles import (
+    alignment_scores,
+    alignment_weights,
+    gaussian_window,
+    memory_match,
+    numpy_hidden_composition,
+    unit_normalize,
+)
 
 
 def announce(tag: str, ok: bool, detail: str) -> None:

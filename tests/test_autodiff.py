@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from foucast import autodiff as ad
 from foucast.autodiff import Var, backward, grad_check, no_grad
@@ -95,6 +96,19 @@ def test_fd_trig_sigmoid_exp():
         return ad.mean(ad.mul(t, ad.exp(ad.mul(p["x"], 0.3))))
 
     fd_ok(f, theta)
+
+
+def test_sigmoid_values_match_expit():
+    """Both branches of the stable logistic, at overflow-range and signed-zero inputs."""
+    v = np.concatenate([
+        [800.0, -800.0, 0.0, -0.0, 36.0, -36.0, 710.0, -710.0],
+        np.random.default_rng(3).standard_normal(500) * 20.0,
+    ])
+    with no_grad():
+        out = ad.sigmoid(v).value
+    assert np.all(np.isfinite(out)) and np.all((out >= 0.0) & (out <= 1.0))
+    # exp(-710) is subnormal, where expit rounds to 0: no relative precision below tiny
+    np.testing.assert_allclose(out, expit(v), rtol=1e-15, atol=np.finfo(np.float64).tiny)
 
 
 def test_fd_softmax_axes():

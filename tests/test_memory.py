@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from foucast.autodiff import Var, no_grad
-from foucast.model import ModelConfig, NowcastModel, init_params, memory_match_tape, phase_align_tape
-from foucast.spectral import unit_normalize
+from foucast.autodiff import Var, cunit, no_grad
+from foucast.model import (
+    EPS_UNIT,
+    ModelConfig,
+    NowcastModel,
+    init_params,
+    memory_match_tape,
+    phase_align_tape,
+)
 from foucast.synth import SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, train_model
 
@@ -198,4 +204,6 @@ def test_renormalized_restores_unit_magnitude():
     """The per-step slot renormalization of phase 1 undoes magnitude drift."""
     drifted = random_slots(4, 4, np.random.default_rng(14)) * 1.01
     assert np.max(np.abs(np.abs(drifted) - 1.0)) > 1e-3
-    assert np.max(np.abs(np.abs(unit_normalize(drifted)) - 1.0)) < 1e-12
+    with no_grad():
+        renormalized = cunit(drifted, EPS_UNIT).value
+    assert np.max(np.abs(np.abs(renormalized) - 1.0)) < 1e-12

@@ -10,7 +10,6 @@ from foucast.metrics import (
     average_over_thresholds,
     contingency,
     csi,
-    gaussian_window,
     hss,
     mae,
     mse,
@@ -18,6 +17,7 @@ from foucast.metrics import (
     ssim,
 )
 from foucast.model import loss_tape
+from oracles import gaussian_window
 
 
 def combined_loss(pred, gt, lam):
@@ -195,9 +195,37 @@ def test_ssim_matches_sliding_window_oracle():
     assert abs(got - want) < 1e-9
 
 
+def noisy_pair(rng, shape, sigma=0.1):
+    pred = rng.random(shape)
+    return pred, np.clip(pred + sigma * rng.standard_normal(shape), 0, 1)
+
+
+def test_ssim_non_square_frame_matches_oracle():
+    """Rows and columns take different band matrices; swapping them fails here."""
+    pred, gt = noisy_pair(np.random.default_rng(21), (16, 24))
+    assert abs(ssim(pred[None], gt[None]) - ssim_window_oracle(pred, gt)) < 1e-9
+    assert abs(ssim(pred.T[None], gt.T[None]) - ssim_window_oracle(pred.T, gt.T)) < 1e-9
+
+
+def test_ssim_frame_stack_is_mean_of_oracle():
+    pred, gt = noisy_pair(np.random.default_rng(22), (3, 1, 16, 20), sigma=0.2)
+    want = np.mean([ssim_window_oracle(pred[i, 0], gt[i, 0]) for i in range(3)])
+    assert abs(ssim(pred, gt) - want) < 1e-9
+
+
+def test_ssim_production_frame_matches_oracle():
+    """One 128x128 frame, the size eval scores, with sparse rain-like fields."""
+    rng = np.random.default_rng(23)
+    pred, gt = noisy_pair(rng, (128, 128), sigma=0.3)
+    pred = pred * (rng.random((128, 128)) > 0.7)
+    assert abs(ssim(pred[None], gt[None]) - ssim_window_oracle(pred, gt)) < 1e-9
+
+
 def test_ssim_rejects_small_frames():
     with pytest.raises(MetricError):
         ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
+    with pytest.raises(MetricError):
+        ssim(np.zeros((1, 16, 10)), np.zeros((1, 16, 10)))
 
 
 def test_average_over_thresholds():

@@ -16,9 +16,9 @@ from foucast.model import (
     mem_encode_tape,
     regrid,
 )
-from foucast.spectral import dft2_forward, unit_normalize
+from foucast.spectral import dft2_forward
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
-from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition
+from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition, unit_normalize
 
 
 def micro_cfg(**kw):

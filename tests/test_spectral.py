@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from foucast import spectral
+from foucast.autodiff import cunit, no_grad
 from foucast.spectral import (
     SpectralError,
     dft2_forward,
     dft2_inverse,
     hermitian_expand,
     parseval_energy,
-    unit_normalize,
 )
 
 
@@ -110,12 +110,13 @@ def test_non_finite_input_rejected():
 
 
 def test_unit_normalize():
-    z = np.array([3.0 + 4.0j])
-    assert np.allclose(unit_normalize(z), [0.6 + 0.8j], atol=1e-15)
-    assert unit_normalize(np.array([0.0 + 0.0j]))[0] == 1.0 + 0.0j
-    rng = np.random.default_rng(8)
-    z = rng.standard_normal((4, 4, 2)) + 1j * rng.standard_normal((4, 4, 2))
-    out = unit_normalize(z, eps=1e-12)
+    """Unit normalization is ``autodiff.cunit``; checked here on plain values."""
+    with no_grad():
+        assert np.allclose(cunit(np.array([3.0 + 4.0j])).value, [0.6 + 0.8j], atol=1e-15)
+        assert cunit(np.array([0.0 + 0.0j])).value[0] == 1.0 + 0.0j
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((4, 4, 2)) + 1j * rng.standard_normal((4, 4, 2))
+        out = cunit(z, eps=1e-12).value
     assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
 
 
