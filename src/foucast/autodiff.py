@@ -235,26 +235,6 @@ def relu(x) -> Var:
     return Var(out, (x,), vjp, op="relu")
 
 
-def exp(x) -> Var:
-    x = as_var(x)
-    out = np.exp(x.value)
-
-    def vjp(g):
-        return (g * np.conj(out) if np.iscomplexobj(out) else g * out,)
-
-    return Var(out, (x,), vjp, op="exp")
-
-
-def log(x) -> Var:
-    x = as_var(x)
-    out = np.log(x.value)
-
-    def vjp(g):
-        return (g / x.value,)
-
-    return Var(out, (x,), vjp, op="log")
-
-
 def sqrt(x) -> Var:
     x = as_var(x)
     out = np.sqrt(x.value)
@@ -410,15 +390,6 @@ def creal(z) -> Var:
     return Var(z.value.real, (z,), vjp, op="creal")
 
 
-def cimag(z) -> Var:
-    z = as_var(z)
-
-    def vjp(g):
-        return (1j * g,)
-
-    return Var(z.value.imag, (z,), vjp, op="cimag")
-
-
 def conj(z) -> Var:
     z = as_var(z)
 
@@ -469,7 +440,10 @@ def cunit(z, eps: float = 1e-12) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transforms (axes (0, 1); unnormalized forward, 1/(H*W) inverse)
+# Fourier transforms (axes (0, 1); unnormalized forward, 1/(H*W) inverse).
+# A real field of width W is stored as its Hermitian half-spectrum, the first
+# ``half_width(W) = W//2 + 1`` columns; ``rfft2`` produces that layout and
+# ``hermitian_expand``/``irfft2_real`` take it back with the original width.
 
 
 def rfft2(x) -> Var:
@@ -512,22 +486,34 @@ def ifft2(z) -> Var:
     return Var(np.fft.ifft2(z.value, axes=(0, 1)), (z,), vjp, op="ifft2")
 
 
-def hermitian_expand(z, width: int) -> Var:
-    """Expand a half-spectrum to full width by conjugate mirroring."""
-    from . import spectral
+def half_width(width: int) -> int:
+    """Stored columns of the Hermitian half-spectrum of a real field of ``width``."""
+    return width // 2 + 1
 
+
+def hermitian_expand(z, width: int) -> Var:
+    """Expand a half-spectrum to full width by conjugate mirroring.
+
+    Missing column ``w`` is ``conj(z[-k, width - w])`` for row ``k``; stored
+    columns are taken as-is, so the expansion is exact for transforms of real
+    fields and well defined for any half-spectrum.  Non-finite entries are
+    rejected here, before they can become a silent NaN forecast.
+    """
     z = as_var(z)
-    h = z.value.shape[0]
     hf = z.value.shape[1]
-    if spectral.half_width(width) != hf:
+    if half_width(width) != hf:
         raise AutodiffError(f"half-spectrum width {hf} does not match width {width}")
-    out = spectral.hermitian_expand(z.value, width)
+    if not np.all(np.isfinite(z.value)):
+        raise AutodiffError("half-spectrum contains non-finite entries")
+    h = z.value.shape[0]
     rows = (-np.arange(h)) % h
+    out = np.empty((h, width) + z.value.shape[2:], dtype=np.complex128)
+    out[:, :hf] = z.value
+    np.conj(z.value[rows, width - hf : 0 : -1], out=out[:, hf:])
 
     def vjp(g):
         gz = g[:, :hf].copy()
-        for w in range(hf, width):
-            gz[rows, width - w] += np.conj(g[:, w])
+        gz[rows, width - hf : 0 : -1] += np.conj(g[:, hf:])
         return (gz,)
 
     return Var(out, (z,), vjp, op="hermitian_expand")

@@ -9,7 +9,6 @@ sums; SSIM averages per-frame scores.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -122,9 +121,7 @@ def evaluate_model(
     report.hss_avg = metrics.average_over_thresholds(report.hss)
     report.mse = float(lead_sq.sum() / pix)
     report.mae = float(lead_ab.sum() / pix)
-    report.psnr = metrics.PSNR_PERFECT if report.mse == 0 else 10.0 * math.log10(
-        metrics.PIXEL_SCALE**2 / report.mse
-    )
+    report.psnr = metrics.psnr(report.mse)
     report.ssim = float(lead_ssim.sum() / (k * len(stats)))
     for j in range(k):
         m = lead_sq[j] / lead_pix[j]
@@ -134,7 +131,7 @@ def evaluate_model(
             "hss": float(np.mean([metrics.hss(lead_total[j][t]) for t in thresholds])),
             "mse": m,
             "mae": lead_ab[j] / lead_pix[j],
-            "psnr": metrics.PSNR_PERFECT if m == 0 else 10.0 * math.log10(metrics.PIXEL_SCALE**2 / m),
+            "psnr": metrics.psnr(m),
             "ssim": lead_ssim[j] / len(stats),
         })
     return report

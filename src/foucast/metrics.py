@@ -99,16 +99,11 @@ def mse(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean((PIXEL_SCALE * (pred - gt)) ** 2))
 
 
-def mae(pred: np.ndarray, gt: np.ndarray) -> float:
-    pred, gt = _check_match(pred, gt)
-    return float(np.mean(np.abs(PIXEL_SCALE * (pred - gt))))
-
-
-def psnr(pred: np.ndarray, gt: np.ndarray) -> float:
-    err = mse(pred, gt)
-    if err == 0.0:
+def psnr(mse_value: float) -> float:
+    """Peak signal-to-noise ratio, in dB on the 0-255 scale, of a mean squared error."""
+    if mse_value == 0.0:
         return PSNR_PERFECT
-    return 10.0 * math.log10(PIXEL_SCALE**2 / err)
+    return 10.0 * math.log10(PIXEL_SCALE**2 / mse_value)
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .autodiff import Var
 from .params import ParamSet
 from .resample import bilinear_resize, temporal_interp
-from .spectral import half_width
 from .synth import CADENCE_MINUTES, N_COV_CHANNELS, CovariateGrid, RadarSequence
 
 DOWNSAMPLE = 4  # two stride-2 stages in every encoder
@@ -74,7 +73,7 @@ class ModelConfig:
 
     @property
     def wf(self) -> int:
-        return half_width(self.hidden_hw)
+        return ad.half_width(self.hidden_hw)
 
 
 MEM_SUMMARY_CHANNELS = 3  # temporal mean, last frame, last minus first

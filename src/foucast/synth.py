@@ -29,6 +29,13 @@ class SynthError(ValueError):
     pass
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """Reject NaN or infinite entries; min/max range checks let NaN through."""
+    for name in names:
+        if not np.all(np.isfinite(getattr(obj, name))):
+            raise SynthError(f"{name} contains non-finite values")
+
+
 @dataclass
 class RadarSequence:
     frames: np.ndarray   # (n, 1, H, W) in [0, 1]
@@ -37,6 +44,7 @@ class RadarSequence:
     def __post_init__(self):
         if self.frames.ndim != 4 or self.frames.shape[1] != 1:
             raise SynthError(f"frames must be (n, 1, H, W), got {self.frames.shape}")
+        _require_finite(self, ("frames", "minutes"))
         if np.min(self.frames) < 0.0 or np.max(self.frames) > 1.0:
             raise SynthError("frame values must lie in [0, 1]")
         if len(self.minutes) != len(self.frames):
@@ -60,6 +68,7 @@ class CovariateGrid:
             raise SynthError(
                 f"covariates must be (N, {N_COV_CHANNELS}, H', W'), got {self.fields.shape}"
             )
+        _require_finite(self, ("fields", "lead_minutes"))
 
 
 @dataclass

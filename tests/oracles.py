@@ -3,13 +3,28 @@
 The library runs each operator once, as a tape function in ``foucast.model``.
 These plain-array versions are written without the tape so tests can check
 the tape functions against separately stated math.  The 2-D SSIM window is
-kept here too: the library applies it separably.
+kept here too: the library applies it separably.  Transforms here call
+``np.fft`` directly, so a wrong Hermitian expansion in the library does not
+cancel out.
 """
 
 import numpy as np
 
 from foucast.model import PER_BIN, PER_CHANNEL
-from foucast.spectral import dft2_forward, dft2_inverse
+
+
+def naive_dft2(x):
+    """O(N^4) reference DFT of an (H, W, C) field: explicit loops over bins, per channel."""
+    h, w, c = x.shape
+    out = np.zeros((h, w, c), dtype=np.complex128)
+    ii = np.arange(h)[:, None]
+    jj = np.arange(w)[None, :]
+    for k1 in range(h):
+        for k2 in range(w):
+            kern = np.exp(-2j * np.pi * (k1 * ii / h + k2 * jj / w))
+            for ch in range(c):
+                out[k1, k2, ch] = np.sum(x[:, :, ch] * kern)
+    return out
 
 
 def unit_normalize(z, eps=1e-12):
@@ -139,9 +154,9 @@ def combined_loss(pred, gt, lam):
 
 def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
     """Step-by-step numpy composition of the spectral hidden stack."""
-    z = dft2_forward(h)
+    z = np.fft.rfft2(h, axes=(0, 1))
     if cov_emb is not None:
-        z = modulate(z, dft2_forward(cov_emb), float(params["mod.beta_logit"]),
+        z = modulate(z, np.fft.rfft2(cov_emb, axes=(0, 1)), float(params["mod.beta_logit"]),
                      mode=cfg.pfm_mode)
     if f_match is not None:
         z = phase_align(z, f_match, eps=1e-6)
@@ -154,4 +169,4 @@ def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
         name = f"blk{layer}.afno"
         z = afno_apply(z, params[f"{name}.w1"], params[f"{name}.w2"],
                        params[f"{name}.b1"], params[f"{name}.b2"])
-    return dft2_inverse(z, width=cfg.hidden_hw)
+    return np.fft.irfft2(z, s=(cfg.hidden_hw, cfg.hidden_hw), axes=(0, 1))

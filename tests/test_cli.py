@@ -223,6 +223,24 @@ def test_eval_bad_thread_count_fails_before_work(tmp_path, monkeypatch, capsys, 
     assert "FOUCAST_THREADS" in capsys.readouterr().err
 
 
+def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
+    """A NaN radar frame stops eval at load time, before the checkpoint is read."""
+    from foucast import tensorfile
+    from foucast.synth import read_manifest
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    path = read_manifest(data / "manifest.txt").split("test")[0].frames_path
+    frames = tensorfile.read_tensor(path)
+    frames[-1, 0, 0, 0] = np.nan
+    tensorfile.write_tensor(path, frames)
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(tmp_path / "none.ckpt"),
+               "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "frames contains non-finite" in capsys.readouterr().err
+
+
 def test_thread_pool_reduction_deterministic(monkeypatch):
     """FOUCAST_THREADS fans out evaluation without changing the results."""
     from foucast.evaluate import default_workers, evaluate_model

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from foucast.autodiff import Var, no_grad
+from foucast.evaluate import _score_sample
 from foucast.metrics import (
     ContingencyCounts,
     MetricError,
@@ -11,29 +12,17 @@ from foucast.metrics import (
     contingency,
     csi,
     hss,
-    mae,
     mse,
     psnr,
     ssim,
 )
 from foucast.model import loss_tape
-from oracles import gaussian_window
+from oracles import gaussian_window, naive_dft2
 
 
 def combined_loss(pred, gt, lam):
     with no_grad():
         return float(loss_tape(Var(pred), gt, lam).value)
-
-
-def naive_dft2_frame(x):
-    h, w = x.shape
-    out = np.zeros((h, w), dtype=complex)
-    ii = np.arange(h)[:, None]
-    jj = np.arange(w)[None, :]
-    for k1 in range(h):
-        for k2 in range(w):
-            out[k1, k2] = np.sum(x * np.exp(-2j * np.pi * (k1 * ii / h + k2 * jj / w)))
-    return out
 
 
 def test_combined_loss_zero_iff_equal():
@@ -61,7 +50,8 @@ def test_combined_loss_matches_naive_dft_oracle():
     pred = rng.random((1, 1, 4, 4))
     gt = rng.random((1, 1, 4, 4))
     want_mse = np.mean((pred - gt) ** 2)
-    want_spec = np.mean(np.abs(naive_dft2_frame(pred[0, 0]) - naive_dft2_frame(gt[0, 0])))
+    frame = (0, 0, slice(None), slice(None), None)  # (H, W, 1), the oracle's layout
+    want_spec = np.mean(np.abs(naive_dft2(pred[frame]) - naive_dft2(gt[frame])))
     got = combined_loss(pred, gt, lam=1.0)
     assert abs(got - (want_mse + want_spec)) < 1e-10
 
@@ -135,8 +125,7 @@ def test_csi_hss_against_formula_sweep():
 def test_pixel_metrics_identical_inputs():
     x = np.random.default_rng(6).random((2, 1, 16, 16))
     assert mse(x, x) == 0.0
-    assert mae(x, x) == 0.0
-    assert psnr(x, x) == math.inf
+    assert psnr(mse(x, x)) == math.inf
     assert ssim(x, x) == pytest.approx(1.0)
 
 
@@ -144,21 +133,26 @@ def test_mse_psnr_endpoints():
     zero = np.zeros((1, 1, 16, 16))
     one = np.ones((1, 1, 16, 16))
     assert mse(zero, one) == pytest.approx(255.0**2)
-    assert psnr(zero, one) == pytest.approx(0.0)
+    assert psnr(mse(zero, one)) == pytest.approx(0.0)
 
 
 def test_mse_mae_scalar_loop_oracle():
+    """``mse`` and eval's per-lead squared and absolute error sums, by scalar loops."""
     rng = np.random.default_rng(7)
-    pred = rng.random((1, 1, 16, 16))
-    gt = rng.random((1, 1, 16, 16))
-    se = ae = 0.0
-    for i in range(16):
-        for j in range(16):
-            d = 255.0 * (pred[0, 0, i, j] - gt[0, 0, i, j])
-            se += d * d
-            ae += abs(d)
-    assert mse(pred, gt) == pytest.approx(se / 256, rel=1e-12)
-    assert mae(pred, gt) == pytest.approx(ae / 256, rel=1e-12)
+    pred = rng.random((2, 1, 16, 16))
+    gt = rng.random((2, 1, 16, 16))
+    stats = _score_sample(pred, gt, [16.0])
+    for lead in range(2):
+        se = ae = 0.0
+        for i in range(16):
+            for j in range(16):
+                d = 255.0 * (pred[lead, 0, i, j] - gt[lead, 0, i, j])
+                se += d * d
+                ae += abs(d)
+        assert mse(pred[lead], gt[lead]) == pytest.approx(se / 256, rel=1e-12)
+        assert stats.lead_sq[lead] == pytest.approx(se, rel=1e-12)
+        assert stats.lead_abs[lead] == pytest.approx(ae, rel=1e-12)
+        assert stats.lead_pix[lead] == 256
 
 
 def ssim_window_oracle(pred, gt, window=11, sigma=1.5, k1=0.01, k2=0.03):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from foucast.autodiff import Var, backward, no_grad
+from foucast.autodiff import AutodiffError, Var, backward, no_grad
 from foucast.model import (
     ModelConfig,
     ModelError,
@@ -16,7 +16,6 @@ from foucast.model import (
     mem_encode_tape,
     regrid,
 )
-from foucast.spectral import dft2_forward
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
 from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition, unit_normalize
 
@@ -146,7 +145,7 @@ def test_mem_encode_is_dft_of_encoder_output():
         h = _conv_relu(h, leaves, "mem2", stride=2)
         h = _conv_relu(h, leaves, "mem3", stride=2)
         h = _conv_relu(h, leaves, "mem4", act=False)
-    want = dft2_forward(h.value.transpose(1, 2, 0))
+    want = np.fft.rfft2(h.value.transpose(1, 2, 0), axes=(0, 1))
     assert np.max(np.abs(z.value - want)) < 1e-15
 
 
@@ -191,7 +190,7 @@ def test_hidden_forward_identity_composition():
     # positive impulse: spectrum is a positive constant, so split-ReLU is safe
     h = np.zeros((4, 4, 1))
     h[0, 0, 0] = 0.7
-    f_match = unit_normalize(dft2_forward(h))  # aligned memory: w_phase = 0
+    f_match = unit_normalize(np.fft.rfft2(h, axes=(0, 1)))  # aligned memory: w_phase = 0
     with no_grad():
         out = hidden_forward_tape(Var(h), Var(h), Var(f_match), leaves, cfg)
     assert np.max(np.abs(out.value - h)) < 1e-10
@@ -250,6 +249,20 @@ def test_forward_deterministic():
     model = NowcastModel.initialize(cfg, seed=1)
     seq, cov = micro_batch(cfg, seed=3)
     assert model.predict(seq, cov).tobytes() == model.predict(seq, cov).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", ["enc1.b", "blk0.attn"])
+def test_predict_non_finite_parameter_raises(name):
+    """A NaN parameter stops at the inverse transform instead of forecasting NaN."""
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=1)
+    seq, cov = micro_batch(cfg, seed=3)
+    bad = model.params[name].copy()
+    bad.flat[0] = np.nan
+    model.params[name] = bad
+    with pytest.raises(AutodiffError, match="non-finite"):
+        model.predict(seq, cov)
 
 
 def test_forward_full_scale_shape():

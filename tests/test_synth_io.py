@@ -6,7 +6,6 @@ import pytest
 from foucast import tensorfile
 from foucast.model import PER_CHANNEL
 from foucast.resample import bilinear_resize, temporal_interp
-from foucast.spectral import dft2_forward
 from foucast.synth import (
     N_COV_CHANNELS,
     SynthError,
@@ -180,13 +179,33 @@ def test_radar_sequence_invariants_enforced():
         RadarSequence(frames=good, minutes=np.array([0.0, 10.0, 30.0]))
 
 
+def test_non_finite_event_values_rejected():
+    """NaN passes the [0, 1] range check, so non-finite values are rejected by name."""
+    from foucast.synth import CovariateGrid, RadarSequence
+
+    minutes = np.array([-10.0, 0.0, 10.0])
+    frames = np.zeros((3, 1, 8, 8))
+    frames[1, 0, 2, 3] = np.nan
+    with pytest.raises(SynthError, match="frames contains non-finite"):
+        RadarSequence(frames=frames, minutes=minutes)
+    with pytest.raises(SynthError, match="minutes contains non-finite"):
+        RadarSequence(frames=np.zeros((3, 1, 8, 8)), minutes=np.array([-10.0, 0.0, np.inf]))
+    fields = np.zeros((2, N_COV_CHANNELS, 8, 8))
+    fields[0, 4, 1, 1] = -np.inf
+    with pytest.raises(SynthError, match="fields contains non-finite"):
+        CovariateGrid(fields=fields, lead_minutes=np.array([10.0, 30.0]))
+    with pytest.raises(SynthError, match="lead_minutes contains non-finite"):
+        CovariateGrid(fields=np.zeros((2, N_COV_CHANNELS, 8, 8)),
+                      lead_minutes=np.array([10.0, np.nan]))
+
+
 def phase_alignment_stat(seq, cov, rng=None):
     """Mean per-channel |alignment| between covariates and the future mean frame."""
     future = seq.frames[3:, 0].mean(axis=0)
-    f_fut = dft2_forward(bilinear_resize(future, (16, 16))[..., None])
+    f_fut = np.fft.rfft2(bilinear_resize(future, (16, 16))[..., None], axes=(0, 1))
     fields = cov.fields.mean(axis=0)  # average over leads
     fields = (fields - fields.mean(axis=(1, 2), keepdims=True))
-    f_cov = dft2_forward(fields.transpose(1, 2, 0))
+    f_cov = np.fft.rfft2(fields.transpose(1, 2, 0), axes=(0, 1))
     if rng is not None:  # phase-randomized control, amplitudes kept
         phases = rng.uniform(-np.pi, np.pi, f_cov.shape)
         f_cov = np.abs(f_cov) * np.exp(1j * phases)
