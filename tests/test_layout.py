@@ -19,18 +19,24 @@ UNUSED_ALLOWED = {
 }
 
 
+def sibling_module(node: ast.ImportFrom) -> str | None:
+    """The foucast module an import names: "" for the package, None if not foucast."""
+    if node.level == 1:
+        return node.module.split(".")[0] if node.module else ""
+    if node.module and node.module.startswith("foucast."):
+        return node.module.split(".")[1]
+    return "" if node.module == "foucast" else None
+
+
 def imported_modules(path: Path) -> set[str]:
     """Names of the sibling foucast modules that ``path`` imports."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            if node.level == 1 and node.module:
-                names.add(node.module.split(".")[0])
-            elif node.level == 1:
-                names.update(alias.name for alias in node.names)
-            elif node.module and node.module.startswith("foucast."):
-                names.add(node.module.split(".")[1])
-            elif node.module == "foucast":
+            module = sibling_module(node)
+            if module:
+                names.add(module)
+            elif module == "":
                 names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             names.update(a.name.split(".")[1] for a in node.names
@@ -45,15 +51,6 @@ def test_every_module_is_imported_by_another():
         used |= imported_modules(path) - {name}
     orphans = sorted(set(modules) - used - ENTRY_POINTS)
     assert not orphans, f"modules no other src module imports: {orphans}"
-
-
-def sibling_module(node: ast.ImportFrom) -> str | None:
-    """The foucast module an import names: "" for the package, None if not foucast."""
-    if node.level == 1:
-        return node.module.split(".")[0] if node.module else ""
-    if node.module and node.module.startswith("foucast."):
-        return node.module.split(".")[1]
-    return "" if node.module == "foucast" else None
 
 
 def mentions(module: str, tree: ast.Module) -> set[tuple[str, str, str, str | None]]:
