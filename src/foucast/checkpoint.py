@@ -2,18 +2,22 @@
 
 The header carries the architecture config, training phase, step count, and
 optimizer scalars; the blobs carry every parameter plus the optimizer moment
-vectors in declared order.  Round trips are bit-exact, and loading against a
-mismatched config is an error naming the offending field.
+vectors in declared order.  Round trips are bit-exact.  Loading against a
+mismatched config, or a file whose header or parameters do not fit its own
+config, is an error naming the offending key or parameter.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import tensorfile
-from .model import ModelConfig, NowcastModel
+from .model import ModelConfig, NowcastModel, init_params
 from .optim import OptimizerState
 from .params import ParamSet
 
@@ -57,9 +61,32 @@ def save_checkpoint(
     tmp.replace(path)
 
 
+def _header_value(header: dict, key: str):
+    if key not in header:
+        raise CheckpointError(f"checkpoint header has no {key!r}")
+    return header[key]
+
+
+def _model_config(cfg_dict: dict) -> ModelConfig:
+    """The header's architecture config; every ModelConfig field, nothing else."""
+    known = [f.name for f in dataclasses.fields(ModelConfig)]
+    unknown = sorted(set(cfg_dict) - set(known))
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown key(s) {', '.join(unknown)}")
+    missing = [name for name in known if name not in cfg_dict]
+    if missing:
+        raise CheckpointError(f"checkpoint config lacks key(s) {', '.join(missing)}")
+    return ModelConfig(**{**cfg_dict, "enc_channels": tuple(cfg_dict["enc_channels"])})
+
+
 def load_checkpoint(
     path: str | Path, expect_cfg: ModelConfig | None = None
 ) -> tuple[NowcastModel, OptimizerState | None, dict]:
+    """Read a checkpoint, checking it against its own config before returning.
+
+    Parameter names, shapes and dtypes must be those ``init_params`` gives the
+    header's config, and every value must be finite.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -70,9 +97,7 @@ def load_checkpoint(
             raise CheckpointError(
                 f"checkpoint version {header.get('version')} != {FORMAT_VERSION}"
             )
-        cfg_dict = dict(header["config"])
-        cfg_dict["enc_channels"] = tuple(cfg_dict["enc_channels"])
-        cfg = ModelConfig(**cfg_dict)
+        cfg = _model_config(_header_value(header, "config"))
         if expect_cfg is not None:
             mismatches = [
                 f"{f.name}: checkpoint={getattr(cfg, f.name)!r} vs config={getattr(expect_cfg, f.name)!r}"
@@ -81,17 +106,33 @@ def load_checkpoint(
             ]
             if mismatches:
                 raise CheckpointError("config mismatch: " + "; ".join(mismatches))
+        expected = init_params(cfg, np.random.default_rng(0))
+        names = _header_value(header, "param_names")
+        for got, want in itertools.zip_longest(names, expected.names()):
+            if got != want:
+                raise CheckpointError(
+                    f"checkpoint parameter {got!r} where the config expects {want!r}"
+                )
         params = ParamSet()
-        for name in header["param_names"]:
-            params.add(name, tensorfile.read_stream(fh))
+        for name in names:
+            value, want = tensorfile.read_stream(fh), expected[name]
+            if value.shape != want.shape or value.dtype != want.dtype:
+                raise CheckpointError(
+                    f"checkpoint parameter {name!r} is {value.shape} {value.dtype}, "
+                    f"the config expects {want.shape} {want.dtype}"
+                )
+            if not np.all(np.isfinite(value)):
+                raise CheckpointError(f"checkpoint parameter {name!r} has non-finite values")
+            params.add(name, value)
         opt = None
-        if header["optimizer"] is not None:
-            meta = header["optimizer"]
+        scalars = _header_value(header, "optimizer")
+        if scalars is not None:
             opt = OptimizerState(
                 m=tensorfile.read_stream(fh), v=tensorfile.read_stream(fh),
-                step=int(meta["step"]), lr=meta["lr"], beta1=meta["beta1"],
-                beta2=meta["beta2"], eps=meta["eps"], weight_decay=meta["weight_decay"],
+                step=int(scalars["step"]), lr=scalars["lr"], beta1=scalars["beta1"],
+                beta2=scalars["beta2"], eps=scalars["eps"], weight_decay=scalars["weight_decay"],
             )
-    model = NowcastModel(cfg=cfg, params=params, frozen_memory=bool(header["frozen_memory"]))
-    meta = {"step": int(header["step"]), "phase": int(header["phase"])}
+    frozen = bool(_header_value(header, "frozen_memory"))
+    model = NowcastModel(cfg=cfg, params=params, frozen_memory=frozen)
+    meta = {key: int(_header_value(header, key)) for key in ("step", "phase")}
     return model, opt, meta

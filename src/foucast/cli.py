@@ -35,25 +35,25 @@ def cmd_train(args) -> int:
     manifest_path = args.manifest or cfg.data.manifest
     if manifest_path is None:
         raise ConfigError("no manifest: pass --manifest or set [data] manifest")
-    manifest = read_manifest(manifest_path)
-    events = _load_split(manifest, "train")
-    if not events:
-        raise TrainError("manifest has no train events")
-
     tcfg = cfg.train
     if args.seed is not None:
         tcfg = dataclasses.replace(tcfg, seed=args.seed)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint:
         model, opt, meta = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
+        if opt is None:
+            raise CheckpointError(f"{args.checkpoint} has no optimizer state to resume from")
         state = TrainState(model=model, opt=opt, step=meta["step"])
         print(f"resuming from step {meta['step']}")
     else:
         model = NowcastModel.initialize(cfg.model, seed=tcfg.seed)
         state = None
 
+    manifest = read_manifest(manifest_path)
+    events = _load_split(manifest, "train")
+    if not events:
+        raise TrainError("manifest has no train events")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     state = train_model(model, events, tcfg, log_path=out / "train_log.csv", state=state)
     ckpt = out / "model.ckpt"
     save_checkpoint(

@@ -10,7 +10,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .model import PER_BIN, PER_CHANNEL, ModelConfig
+from .model import ModelConfig
 from .synth import SyntheticEventConfig
 from .train import TrainConfig
 
@@ -81,10 +81,11 @@ class _Section:
         self.name = name
         self.values = dict(values)
 
-    def parse(self, key: str, kind, default):
+    def parse(self, key: str, kind):
+        """The parsed value of ``key``, or None when the section does not set it."""
         raw = self.values.pop(key, None)
         if raw is None:
-            return default
+            return None
         try:
             return kind(raw)
         except (TypeError, ValueError) as exc:
@@ -94,15 +95,14 @@ class _Section:
         """Values for the fields of dataclass ``cls`` present in the section.
 
         Keys are field names, except where ``_KEYS`` renames one; a field's
-        parser comes from ``_PARSERS`` by key, else by its annotation.
+        parser follows its annotation.
         """
         out = {}
         for f in fields(cls):
             if f.name in skip:
                 continue
             key = _KEYS.get(f.name, f.name)
-            kind = _PARSERS.get(key) or _TYPE_PARSERS[f.type]
-            value = self.parse(key, kind, None)
+            value = self.parse(key, _PARSER_BY_TYPE[f.type])
             if value is not None:
                 out[f.name] = value
         return out
@@ -152,18 +152,10 @@ def _modules(raw: str) -> set[str]:
     return toks
 
 
-def _mode(raw: str) -> str:
-    if raw not in (PER_BIN, PER_CHANNEL):
-        raise ValueError(f"must be {PER_BIN!r} or {PER_CHANNEL!r}")
-    return raw
-
-
 # Config keys that differ from their field names.
 _KEYS = {"lam": "lambda"}
-# Parsers by key where the annotation alone does not say enough.
-_PARSERS = {"pfm_mode": _mode, "enc_channels": _three_ints}
 # Parsers by field annotation (the modules use postponed annotations).
-_TYPE_PARSERS = {
+_PARSER_BY_TYPE = {
     "int": int,
     "int | None": int,
     "float": float,
@@ -172,6 +164,7 @@ _TYPE_PARSERS = {
     "str | None": str,
     "tuple[float, float]": _pair,
     "tuple[float, ...]": _floats,
+    "tuple[int, int, int]": _three_ints,
 }
 # Fields set through other keys, or not configurable.
 _MODULE_FLAGS = frozenset({"enable_pfm", "enable_fm", "enable_ifa"})  # modules_enabled
@@ -199,7 +192,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     m = section("model")
     model_kw = m.parse_fields(ModelConfig, skip=_MODULE_FLAGS)
-    enabled = m.parse("modules_enabled", _modules, None)
+    enabled = m.parse("modules_enabled", _modules)
     if enabled is not None:
         model_kw.update({flag: flag.removeprefix("enable_") in enabled for flag in _MODULE_FLAGS})
     m.leftovers()
@@ -210,21 +203,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"[model] {exc}")
 
     t = section("train")
-    steps = t.parse("steps", int, None)
-    train_kw = t.parse_fields(TrainConfig, skip=_OPTIMIZER_CONSTANTS)
+    train = TrainConfig(**t.parse_fields(TrainConfig, skip=_OPTIMIZER_CONSTANTS))
     t.leftovers()
-    phase_keys = {"phase1_steps", "phase2_steps"} & train_kw.keys()
-    if steps is not None:
-        if phase_keys:
-            raise ConfigError(
-                f"[train] steps cannot be combined with {' / '.join(sorted(phase_keys))}"
-            )
-        train_kw["phase1_steps"] = steps // 4  # default 1:3 split between the phases
-        train_kw["phase2_steps"] = steps - steps // 4
-    elif phase_keys:
-        train_kw.setdefault("phase1_steps", 0)
-        train_kw.setdefault("phase2_steps", 0)
-    train = TrainConfig(**train_kw)
     if train.batch < 1 or train.lr <= 0:
         raise ConfigError("[train] batch must be >= 1 and lr positive")
 

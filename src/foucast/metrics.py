@@ -48,10 +48,6 @@ class ContingencyCounts:
     false_alarms: int = 0
     correct_negatives: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses + self.false_alarms + self.correct_negatives
-
     def __add__(self, other: "ContingencyCounts") -> "ContingencyCounts":
         return ContingencyCounts(
             self.hits + other.hits,

@@ -6,8 +6,7 @@ axis.  The encoder halves the input twice (fixed x4 downsampling to the
 hidden resolution); the decoder mirrors it with transposed convolutions and a
 final logistic.  Fusion order: covariate-guided modulation once, memory phase
 alignment once, then L blocks of {frequency attention (+ gated reinjection) +
-block-diagonal spectral MLP}; a config flag moves the fusion steps inside
-every block instead.
+block-diagonal spectral MLP}.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from .resample import bilinear_resize, temporal_interp
 from .synth import CADENCE_MINUTES, N_COV_CHANNELS, CovariateGrid, RadarSequence
 
 DOWNSAMPLE = 4  # two stride-2 stages in every encoder
-
-PER_BIN = "per_bin"          # modulation scores each (h, w, c) coefficient
-PER_CHANNEL = "per_channel"  # modulation scores each channel over all bins
 
 EPS_ALIGN = 1e-8   # alignment-score denominators
 EPS_FUSE = 1e-6    # phasor-fusion degeneracy fallback
@@ -50,11 +46,8 @@ class ModelConfig:
     enable_pfm: bool = True
     enable_fm: bool = True
     enable_ifa: bool = True
-    fusion_per_block: bool = False
-    pfm_mode: str = PER_BIN
     enc_channels: tuple[int, int, int] = (16, 32, 32)
     mem_channels: int = 16
-    afno_bias: bool = True  # complex biases in the spectral MLPs
 
     def validate(self) -> None:
         if self.hw != DOWNSAMPLE * self.hidden_hw:
@@ -65,8 +58,6 @@ class ModelConfig:
             raise ModelError(f"c_emb={self.c_emb} not divisible by n_blocks={self.n_blocks}")
         if not 0.0 <= self.lam <= 1.0:
             raise ModelError(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.pfm_mode not in (PER_BIN, PER_CHANNEL):
-            raise ModelError(f"unknown pfm_mode {self.pfm_mode!r}")
         for name in ("t_in", "k_out", "hidden_hw", "c_emb", "depth_l", "memory_slots"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
@@ -150,12 +141,7 @@ def collect_grads(params: ParamSet, leaves: dict[str, Var]) -> ParamSet:
 # covariate regridding
 
 
-def regrid(
-    cov: CovariateGrid,
-    target_minutes: np.ndarray,
-    target_hw: tuple[int, int],
-    normalize: bool = True,
-) -> np.ndarray:
+def regrid(cov: CovariateGrid, target_minutes: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
     """Align covariates to the radar cadence and the hidden grid.
 
     Bilinear in space, linear in time (clamped at the ends), then channelwise
@@ -165,8 +151,6 @@ def regrid(
         raise ModelError("empty covariate set")
     spatial = bilinear_resize(cov.fields, target_hw)
     aligned = temporal_interp(spatial, cov.lead_minutes, np.asarray(target_minutes))
-    if not normalize:
-        return aligned
     if cov.mean is None or cov.std is None:
         mean = aligned.mean(axis=(0, 2, 3))
         std = np.maximum(aligned.std(axis=(0, 2, 3)), 1e-6)
@@ -240,19 +224,14 @@ def afno_tape(z: Var, leaves, name: str, cfg: ModelConfig) -> Var:
     hh, wf, c = z.value.shape
     zb = ad.reshape(z, (hh, wf, nb, c // nb, 1))
     h = ad.matmul(leaves[f"{name}.w1"], zb)
-    if cfg.afno_bias:
-        b1 = ad.reshape(leaves[f"{name}.b1"], (nb, -1, 1))
-        h = ad.add(h, b1)
-    h = ad.relu(h)
+    h = ad.relu(ad.add(h, ad.reshape(leaves[f"{name}.b1"], (nb, -1, 1))))
     out = ad.matmul(leaves[f"{name}.w2"], h)
-    if cfg.afno_bias:
-        b2 = ad.reshape(leaves[f"{name}.b2"], (nb, -1, 1))
-        out = ad.add(out, b2)
+    out = ad.add(out, ad.reshape(leaves[f"{name}.b2"], (nb, -1, 1)))
     c_out = leaves[f"{name}.w2"].value.shape[0] * leaves[f"{name}.w2"].value.shape[1]
     return ad.reshape(out, (hh, wf, c_out))
 
 
-def modulate_tape(f_hid: Var, f_met: Var, beta: Var, cfg: ModelConfig) -> Var:
+def modulate_tape(f_hid: Var, f_met: Var, beta: Var) -> Var:
     """Covariate-guided modulation with a learnable phase-mixing factor.
 
     Amplitudes are reweighted by a softmax over channels of the phase-alignment
@@ -261,18 +240,9 @@ def modulate_tape(f_hid: Var, f_met: Var, beta: Var, cfg: ModelConfig) -> Var:
     nearly cancels.  Fusion never changes magnitudes: the output modulus is
     exactly the reweighted amplitude.
     """
-    if cfg.pfm_mode == PER_BIN:
-        num = ad.creal(ad.mul(f_hid, ad.conj(f_met)))
-        den = ad.add(ad.mul(ad.cabs(f_hid), ad.cabs(f_met)), EPS_ALIGN)
-        scores = ad.div(num, den)
-    else:
-        num = ad.creal(ad.sum_(ad.mul(f_hid, ad.conj(f_met)), axis=(0, 1)))
-        ah = ad.cabs(f_hid)
-        am = ad.cabs(f_met)
-        nh = ad.sqrt(ad.sum_(ad.mul(ah, ah), axis=(0, 1)))
-        nm = ad.sqrt(ad.sum_(ad.mul(am, am), axis=(0, 1)))
-        scores = ad.div(num, ad.add(ad.mul(nh, nm), EPS_ALIGN))
-    weights = ad.softmax(scores, axis=-1)
+    num = ad.creal(ad.mul(f_hid, ad.conj(f_met)))
+    den = ad.add(ad.mul(ad.cabs(f_hid), ad.cabs(f_met)), EPS_ALIGN)
+    weights = ad.softmax(ad.div(num, den), axis=-1)
     amp = ad.mul(weights, ad.cabs(f_hid))
     p_hid = ad.cunit(f_hid, EPS_UNIT)
     p_met = ad.cunit(f_met, EPS_UNIT)
@@ -337,21 +307,11 @@ def hidden_forward_tape(
 ) -> Var:
     """Spectral hidden stack over a (hidden, hidden, c_emb) real field."""
     f_hid = ad.rfft2(h)
-    f_met = ad.rfft2(cov_emb) if cov_emb is not None else None
-    beta = ad.sigmoid(leaves["mod.beta_logit"]) if f_met is not None else None
-
-    def fuse(z: Var) -> Var:
-        if f_met is not None:
-            z = modulate_tape(z, f_met, beta, cfg)
-        if f_match is not None:
-            z = phase_align_tape(z, f_match)
-        return z
-
-    if not cfg.fusion_per_block:
-        f_hid = fuse(f_hid)
+    if cov_emb is not None:
+        f_hid = modulate_tape(f_hid, ad.rfft2(cov_emb), ad.sigmoid(leaves["mod.beta_logit"]))
+    if f_match is not None:
+        f_hid = phase_align_tape(f_hid, f_match)
     for layer in range(cfg.depth_l):
-        if cfg.fusion_per_block:
-            f_hid = fuse(f_hid)
         f_hid = attention_tape(f_hid, leaves, layer, cfg)
         f_hid = afno_tape(f_hid, leaves, f"blk{layer}.afno", cfg)
     return ad.irfft2_real(f_hid, cfg.hidden_hw)

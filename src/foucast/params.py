@@ -101,13 +101,3 @@ class ParamSet:
 
     def copy(self) -> "ParamSet":
         return ParamSet({name: a.copy() for name, a in self._arrays.items()})
-
-    def zeros_like(self) -> "ParamSet":
-        return ParamSet({name: np.zeros_like(a) for name, a in self._arrays.items()})
-
-    def label(self, flat_index: int) -> str:
-        """Human-readable name of a flat coordinate, for error reports."""
-        for name, sl in self.flat_slices().items():
-            if sl.start <= flat_index < sl.stop:
-                return f"{name}[{flat_index - sl.start}]"
-        raise IndexError(flat_index)

@@ -60,7 +60,7 @@ def write_stream(fh: io.BufferedIOBase, tensor: np.ndarray) -> None:
     fh.write(a.tobytes())  # tobytes emits C order regardless of layout
 
 
-def read_stream(fh: io.BufferedIOBase, expect_code: int | None = None) -> np.ndarray:
+def read_stream(fh: io.BufferedIOBase) -> np.ndarray:
     pos = fh.tell()
 
     def need(n: int, what: str) -> bytes:
@@ -81,8 +81,6 @@ def read_stream(fh: io.BufferedIOBase, expect_code: int | None = None) -> np.nda
     code = need(1, "dtype code")[0]
     if code not in _CODE_TO_DTYPE:
         raise DtypeMismatchError(f"unknown dtype code {code}", code_at)
-    if expect_code is not None and code != expect_code:
-        raise DtypeMismatchError(f"dtype code {code}, expected {expect_code}", code_at)
     rank = need(1, "rank")[0]
     dims = np.frombuffer(need(4 * rank, "dims"), dtype="<u4")
     dt = _CODE_TO_DTYPE[code]
@@ -96,9 +94,9 @@ def write_tensor(path: str | Path, tensor: np.ndarray) -> None:
         write_stream(fh, tensor)
 
 
-def read_tensor(path: str | Path, expect_code: int | None = None) -> np.ndarray:
+def read_tensor(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return read_stream(fh, expect_code)
+        return read_stream(fh)
 
 
 def validate_header(path: str | Path) -> tuple[int, tuple[int, ...]]:

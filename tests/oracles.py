@@ -10,8 +10,6 @@ cancel out.
 
 import numpy as np
 
-from foucast.model import PER_BIN, PER_CHANNEL
-
 
 def naive_dft2(x):
     """O(N^4) reference DFT of an (H, W, C) field: explicit loops over bins, per channel."""
@@ -102,33 +100,27 @@ def phase_align(f_hid, f_match, eps=1e-6):
     return np.where(np.abs(f_match) < eps, f_hid, rotated)
 
 
-def alignment_scores(f_hid, f_met, eps=1e-8, mode=PER_BIN):
-    """Cosine-like phase-alignment score per channel, in [-1, 1]."""
+def alignment_scores(f_hid, f_met, eps=1e-8):
+    """Cosine-like phase-alignment score per channel and bin, in [-1, 1]."""
     f_hid = np.asarray(f_hid, dtype=np.complex128)
     f_met = np.asarray(f_met, dtype=np.complex128)
-    if mode == PER_BIN:
-        num = (f_hid * np.conj(f_met)).real
-        den = np.abs(f_hid) * np.abs(f_met) + eps
-        return num / den
-    if mode == PER_CHANNEL:
-        num = np.sum(f_hid * np.conj(f_met), axis=(0, 1)).real
-        den = np.linalg.norm(f_hid, axis=(0, 1)) * np.linalg.norm(f_met, axis=(0, 1)) + eps
-        return np.broadcast_to(num / den, f_hid.shape).copy()
-    raise ValueError(f"unknown alignment mode {mode!r}")
+    num = (f_hid * np.conj(f_met)).real
+    den = np.abs(f_hid) * np.abs(f_met) + eps
+    return num / den
 
 
-def alignment_weights(f_hid, f_met, eps=1e-8, mode=PER_BIN):
+def alignment_weights(f_hid, f_met, eps=1e-8):
     """Softmax of alignment scores across channels, per spatial-frequency bin."""
-    s = alignment_scores(f_hid, f_met, eps, mode)
+    s = alignment_scores(f_hid, f_met, eps)
     e = np.exp(s - np.max(s, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def modulate(f_hid, f_met, beta_logit, eps_align=1e-8, eps_fuse=1e-6, mode=PER_BIN):
+def modulate(f_hid, f_met, beta_logit, eps_align=1e-8, eps_fuse=1e-6):
     """Attention-reweighted amplitude with phasors fused at sigmoid(beta_logit)."""
     f_hid = np.asarray(f_hid, dtype=np.complex128)
     f_met = np.asarray(f_met, dtype=np.complex128)
-    amp = np.abs(f_hid) * alignment_weights(f_hid, f_met, eps_align, mode)
+    amp = np.abs(f_hid) * alignment_weights(f_hid, f_met, eps_align)
     beta = float(1.0 / (1.0 + np.exp(-beta_logit)))
     p_hid = unit_normalize(f_hid)
     p_met = unit_normalize(f_met)
@@ -156,8 +148,7 @@ def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
     """Step-by-step numpy composition of the spectral hidden stack."""
     z = np.fft.rfft2(h, axes=(0, 1))
     if cov_emb is not None:
-        z = modulate(z, np.fft.rfft2(cov_emb, axes=(0, 1)), float(params["mod.beta_logit"]),
-                     mode=cfg.pfm_mode)
+        z = modulate(z, np.fft.rfft2(cov_emb, axes=(0, 1)), float(params["mod.beta_logit"]))
     if f_match is not None:
         z = phase_align(z, f_match, eps=1e-6)
     for layer in range(cfg.depth_l):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,34 @@ def test_garbage_file_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"\x00\x01\x02 not a checkpoint")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    header, rest = path.read_bytes().split(b"\n", 1)
+    head = json.loads(header)
+    edit(head)
+    path.write_bytes(json.dumps(head).encode() + b"\n" + rest)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.pop("config"), "header has no 'config'"),
+    (lambda h: h.pop("param_names"), "header has no 'param_names'"),
+    (lambda h: h.pop("step"), "header has no 'step'"),
+    (lambda h: h["config"].pop("lam"), r"lacks key\(s\) lam"),
+    # the variant keys of older checkpoints are gone from ModelConfig
+    (lambda h: h["config"].update(afno_bias=True, fusion_per_block=False, pfm_mode="per_bin"),
+     r"unknown key\(s\) afno_bias, fusion_per_block, pfm_mode"),
+    (lambda h: h["param_names"].reverse(), "where the config expects 'enc1.w'"),
+    (lambda h: h["config"].update(mem_channels=8), r"'mem1.w' is \(4, 3, 3, 3\)"),
+], ids=["no_config", "no_param_names", "no_step", "config_lacks_key", "older_variant_keys",
+        "param_order", "param_shape"])
+def test_header_that_does_not_fit_is_named(tmp_path, edit, message):
+    model = NowcastModel.initialize(micro_cfg(), seed=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, init_state(model.params))
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 

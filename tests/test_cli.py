@@ -68,9 +68,11 @@ def test_config_unknown_key_named(tmp_path):
     with pytest.raises(ConfigError, match=r"\[model\] banana"):
         load_config(ini)
     # optimizer constants are dataclass fields but not config keys
-    ini.write_text("[train]\nbeta1 = 0.8\n")
-    with pytest.raises(ConfigError, match=r"\[train\] beta1"):
-        load_config(ini)
+    # and neither are deleted keys: one model variant, one key per training setting
+    for section, key in [("train", "beta1"), ("model", "pfm_mode"), ("train", "steps")]:
+        ini.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(ini)
 
 
 def test_config_bad_value_named(tmp_path):
@@ -80,17 +82,12 @@ def test_config_bad_value_named(tmp_path):
 
 
 def test_config_steps_split_default(tmp_path):
-    ini = (tmp_path / "c.ini")
-    ini.write_text("[train]\nsteps = 400\n")
-    cfg = load_config(ini)
-    assert cfg.train.phase1_steps == 100 and cfg.train.phase2_steps == 300
-
-
-def test_config_steps_conflicts_with_phase_keys(tmp_path):
+    """Each phase's step count falls back to its own default when not given."""
     ini = tmp_path / "c.ini"
-    ini.write_text("[train]\nsteps = 1000\nphase1_steps = 10\n")
-    with pytest.raises(ConfigError, match="steps cannot be combined with phase1_steps"):
-        load_config(ini)
+    ini.write_text("[train]\nphase1_steps = 7\n")
+    assert load_config(ini).train.phase2_steps == RunConfig().train.phase2_steps
+    ini.write_text("[train]\nphase2_steps = 7\n")
+    assert load_config(ini).train.phase1_steps == RunConfig().train.phase1_steps
 
 
 def test_config_missing_file():
@@ -206,11 +203,46 @@ def test_eval_config_mismatch_rejected(tmp_path, capsys):
     main(["synth", "--config", str(ini), "--out", str(data)])
     main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
           "--out", str(run)])
-    other = write_ini(tmp_path / "other.ini", n_events=3, model_extra="fusion_per_block = true")
+    other = write_ini(tmp_path / "other.ini", n_events=3)
+    other.write_text(other.read_text().replace("depth_l = 1", "depth_l = 2"))
     rc = main(["eval", "--config", str(other), "--checkpoint", str(run / "model.ckpt"),
                "--manifest", str(data / "manifest.txt"), "--out", str(run)])
     assert rc != 0
-    assert "fusion_per_block" in capsys.readouterr().err
+    assert "depth_l" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault,name", [
+    ("header_key", "bogus"), ("nan_param", "enc1.b"), ("no_optimizer", "optimizer"),
+])
+def test_bad_checkpoint_fails_with_named_error(tmp_path, capsys, fault, name):
+    """A checkpoint that does not fit its own config stops the command with exit code 2."""
+    import json
+
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+    from foucast.optim import init_state
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    model = NowcastModel.initialize(load_config(ini).model, seed=0)
+    if fault == "nan_param":
+        bad = model.params[name].copy()
+        bad[0] = np.nan
+        model.params[name] = bad
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, None if fault == "no_optimizer" else init_state(model.params))
+    if fault == "header_key":
+        header, rest = ckpt.read_bytes().split(b"\n", 1)
+        head = json.loads(header)
+        head["config"][name] = 1
+        ckpt.write_bytes(json.dumps(head).encode() + b"\n" + rest)
+    command = "train" if fault == "no_optimizer" else "eval"
+    rc = main([command, "--config", str(ini), "--checkpoint", str(ckpt),
+               "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0"])

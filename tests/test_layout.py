@@ -11,9 +11,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "foucast"
 ENTRY_POINTS = {"cli", "__init__"}
 UNUSED_ALLOWED = {
-    # criterion 4's finite-difference checker: it verifies the tape's reverse
-    # rules, so the library ships it even though no library code calls it
-    ("autodiff", "grad_check"),
     # the benchmark's forecast check scores predictions with it (perfbench/)
     ("metrics", "mse"),
 }

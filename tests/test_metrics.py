@@ -69,7 +69,7 @@ def test_contingency_perfect_forecast():
     x = rng.random((4, 4))
     c = contingency(x, x, threshold=74)
     assert c.misses == 0 and c.false_alarms == 0
-    assert c.total == 16
+    assert c.hits + c.correct_negatives == 16
 
 
 def test_contingency_all_miss():

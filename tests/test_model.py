@@ -16,6 +16,7 @@ from foucast.model import (
     mem_encode_tape,
     regrid,
 )
+from foucast.resample import bilinear_resize, temporal_interp
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
 from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition, unit_normalize
 
@@ -39,8 +40,8 @@ def rand_field(rng, h, w, c):
 def test_regrid_identity_before_normalization():
     rng = np.random.default_rng(0)
     fields = rng.standard_normal((4, N_COV_CHANNELS, 8, 8))
-    cov = CovariateGrid(fields=fields, lead_minutes=np.array([10.0, 20.0, 30.0, 40.0]))
-    out = regrid(cov, cov.lead_minutes, (8, 8), normalize=False)
+    minutes = np.array([10.0, 20.0, 30.0, 40.0])
+    out = temporal_interp(bilinear_resize(fields, (8, 8)), minutes, minutes)
     assert np.allclose(out, fields, atol=1e-12)
 
 
@@ -50,8 +51,8 @@ def test_regrid_ramp_and_midpoint():
     fields = np.zeros((2, N_COV_CHANNELS, 8, 8))
     fields[0] = ramp
     fields[1] = ramp + 10.0
-    cov = CovariateGrid(fields=fields, lead_minutes=np.array([10.0, 30.0]))
-    out = regrid(cov, np.array([20.0]), (15, 15), normalize=False)
+    out = temporal_interp(bilinear_resize(fields, (15, 15)), np.array([10.0, 30.0]),
+                          np.array([20.0]))
     oy, ox = np.mgrid[0:15, 0:15].astype(float)
     want = 3.0 * (ox * 7 / 14) - 1.0 * (oy * 7 / 14) + 5.0
     assert np.max(np.abs(out[0, 0] - want)) < 1e-10
@@ -206,10 +207,10 @@ def test_hidden_forward_zero_input():
     assert np.all(out.value == 0.0)
 
 
-@pytest.mark.parametrize("seed,mode", [(0, "per_bin"), (1, "per_bin"), (2, "per_channel")])
-def test_hidden_forward_matches_numpy_composition(seed, mode):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hidden_forward_matches_numpy_composition(seed):
     rng = np.random.default_rng(seed)
-    cfg = micro_cfg(c_emb=8, n_blocks=2, depth_l=2, hw=32, hidden_hw=8, pfm_mode=mode)
+    cfg = micro_cfg(c_emb=8, n_blocks=2, depth_l=2, hw=32, hidden_hw=8)
     params = init_params(cfg, rng)
     h = rand_field(rng, 8, 8, 8)
     cov_emb = rand_field(rng, 8, 8, 8)
@@ -307,25 +308,6 @@ def test_modules_can_be_disabled():
             seq, cov = micro_batch(cfg, seed=6)
         pred = model.predict(seq, cov)
         assert pred.shape == (cfg.k_out, 1, cfg.hw, cfg.hw)
-
-
-def test_fusion_per_block_flag_runs():
-    cfg = micro_cfg(fusion_per_block=True, depth_l=2)
-    model = NowcastModel.initialize(cfg, seed=5)
-    seq, cov = micro_batch(cfg, seed=7)
-    pred = model.predict(seq, cov)
-    assert pred.shape == (cfg.k_out, 1, cfg.hw, cfg.hw)
-
-
-def test_afno_bias_can_be_disabled():
-    cfg = micro_cfg(afno_bias=False)
-    model = NowcastModel.initialize(cfg, seed=7)
-    # biases in params but inert: forward ignores them entirely
-    model.params["blk0.afno.b1"] = np.full_like(model.params["blk0.afno.b1"], 9.0 + 9.0j)
-    seq, cov = micro_batch(cfg, seed=9)
-    with_bias_garbage = model.predict(seq, cov)
-    model.params["blk0.afno.b1"] = np.zeros_like(model.params["blk0.afno.b1"])
-    assert np.array_equal(model.predict(seq, cov), with_bias_garbage)
 
 
 def test_gradient_reaches_every_parameter_group():

@@ -3,7 +3,7 @@ import pytest
 
 from foucast import autodiff as ad
 from foucast.autodiff import Var, no_grad
-from foucast.model import PER_BIN, PER_CHANNEL, ModelConfig, modulate_tape
+from foucast.model import modulate_tape
 from oracles import alignment_weights
 
 
@@ -11,15 +11,15 @@ def rand_spectrum(rng, h, w, c):
     return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
 
 
-def modulate(f_hid, f_met, beta_logit=0.0, mode=PER_BIN):
+def modulate(f_hid, f_met, beta_logit=0.0):
     with no_grad():
         beta = ad.sigmoid(Var(np.array(beta_logit)))
-        return modulate_tape(Var(f_hid), Var(f_met), beta, ModelConfig(pfm_mode=mode)).value
+        return modulate_tape(Var(f_hid), Var(f_met), beta).value
 
 
-def weights(f_hid, f_met, mode=PER_BIN):
+def weights(f_hid, f_met):
     """Channel weights read back from the output modulus |out| = w * |f_hid|."""
-    return np.abs(modulate(f_hid, f_met, mode=mode)) / np.abs(f_hid)
+    return np.abs(modulate(f_hid, f_met)) / np.abs(f_hid)
 
 
 def phasor_fuse(phi_hid, phi_met, beta):
@@ -77,15 +77,6 @@ def test_scores_bounded_and_weights_normalized():
         assert np.max(np.log(w.max(axis=-1) / w.min(axis=-1))) <= 2.0 + 1e-12
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
         assert np.all(w >= 0)
-
-
-def test_per_channel_mode():
-    rng = np.random.default_rng(4)
-    f = rand_spectrum(rng, 4, 4, 3)
-    w = weights(f, f, mode=PER_CHANNEL)
-    # one score per channel, broadcast over bins, softmax of equal scores
-    assert np.allclose(w, 1.0 / 3.0, atol=1e-9)
-    assert np.allclose(w[0, 0], w[2, 3])
 
 
 def test_phasor_fuse_limits_and_midpoint():
