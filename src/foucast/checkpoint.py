@@ -61,9 +61,9 @@ def save_checkpoint(
     tmp.replace(path)
 
 
-def _header_value(header: dict, key: str):
+def _header_value(header: dict, key: str, where: str = "header"):
     if key not in header:
-        raise CheckpointError(f"checkpoint header has no {key!r}")
+        raise CheckpointError(f"checkpoint {where} has no {key!r}")
     return header[key]
 
 
@@ -127,11 +127,14 @@ def load_checkpoint(
         opt = None
         scalars = _header_value(header, "optimizer")
         if scalars is not None:
-            opt = OptimizerState(
-                m=tensorfile.read_stream(fh), v=tensorfile.read_stream(fh),
-                step=int(scalars["step"]), lr=scalars["lr"], beta1=scalars["beta1"],
-                beta2=scalars["beta2"], eps=scalars["eps"], weight_decay=scalars["weight_decay"],
-            )
+            state = {key: _header_value(scalars, key, "optimizer")
+                     for key in ("step", "lr", "beta1", "beta2", "eps", "weight_decay")}
+            for key in ("m", "v"):
+                value = state[key] = tensorfile.read_stream(fh)
+                if value.shape != (params.size,) or not np.all(np.isfinite(value)):
+                    raise CheckpointError(
+                        f"checkpoint optimizer.{key} is not {params.size} finite values")
+            opt = OptimizerState(**{**state, "step": int(state["step"])})
     frozen = bool(_header_value(header, "frozen_memory"))
     model = NowcastModel(cfg=cfg, params=params, frozen_memory=frozen)
     meta = {key: int(_header_value(header, key)) for key in ("step", "phase")}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
-from .evaluate import default_workers, evaluate_model, write_reports
+from .evaluate import default_workers, eval_threads, evaluate_model, write_reports
 from .model import ModelError, NowcastModel
 from .synth import Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
@@ -71,11 +71,13 @@ def cmd_eval(args) -> int:
     manifest_path = args.manifest or cfg.data.manifest
     if manifest_path is None:
         raise ConfigError("no manifest: pass --manifest or set [data] manifest")
+    model, _, _ = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
     manifest = read_manifest(manifest_path)
     events = _load_split(manifest, "test")
     if not events:
         raise ConfigError("manifest has no test events")
-    model, _, _ = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
+    pool, blas = eval_threads(workers, len(events))
+    print(f"eval pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
     report = evaluate_model(
         model, events, list(cfg.eval.thresholds), tag=cfg.tag(),
         max_workers=workers,

@@ -1,16 +1,20 @@
 """Model evaluation over a dataset split, with CSV report emission.
 
 Samples are scored independently (optionally fanned out over a bounded
-thread pool, capped by FOUCAST_THREADS) and reduced in manifest order, so
-results do not depend on scheduling.  Categorical scores aggregate the
+thread pool, capped by FOUCAST_THREADS) and reduced in manifest order, with the
+OpenBLAS numpy loaded held at one thread (one worker if it cannot be), so the
+report does not depend on the pool size.  Categorical scores aggregate the
 contingency counts over all pixels before the ratio; pixel errors aggregate
 sums; SSIM averages per-frame scores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,13 +28,51 @@ from .synth import CADENCE_MINUTES, CovariateGrid, RadarSequence
 
 
 def default_workers() -> int:
-    """Eval pool size: FOUCAST_THREADS if set (a positive integer), else <= 4."""
+    """Eval pool size: FOUCAST_THREADS if set (a positive integer), else <= 4 usable cores."""
     env = os.environ.get("FOUCAST_THREADS")
     if not env:
-        return min(4, os.cpu_count() or 1)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(4, cores or 1)
     if not env.isdecimal() or int(env) < 1:
         raise ConfigError(f"FOUCAST_THREADS must be a positive integer, got {env!r}")
     return int(env)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count entries of the OpenBLAS mapped into the process, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:  # no /proc, or a mapping that is not a loadable library
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        for lib in libs:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+def eval_threads(max_workers: int | None, n_events: int) -> tuple[int, int | None]:
+    """(pool size, BLAS threads per worker) of evaluate_model; (1, None) without a setter."""
+    if _openblas_threads() is None:
+        return 1, None
+    return min(max_workers or default_workers(), n_events), 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the process-wide OpenBLAS count at 1 (so calls must not overlap), then restore it."""
+    get, put = _openblas_threads() or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass
@@ -87,30 +129,23 @@ def evaluate_model(
 
     def work(pair):
         seq, cov = pair
-        pred = model.predict(seq, cov)
-        return _score_sample(pred, seq.frames[cfg.t_in :], thresholds)
+        return _score_sample(model.predict(seq, cov), seq.frames[cfg.t_in :], thresholds)
 
-    workers = max_workers or default_workers()
-    if workers > 1 and len(events) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(work, events))
-    else:
-        stats = [work(pair) for pair in events]
+    workers, _ = eval_threads(max_workers, len(events))
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                stats = list(pool.map(work, events))
+        else:
+            stats = [work(pair) for pair in events]
 
     k = cfg.k_out
-    lead_total = [{t: ContingencyCounts() for t in thresholds} for _ in range(k)]
-    lead_sq = np.zeros(k)
-    lead_ab = np.zeros(k)
-    lead_ssim = np.zeros(k)
-    lead_pix = np.zeros(k)
-    for s in stats:
-        for j in range(k):
-            for t in thresholds:
-                lead_total[j][t] = lead_total[j][t] + s.lead_counts[j][t]
-        lead_sq += s.lead_sq
-        lead_ab += s.lead_abs
-        lead_ssim += s.lead_ssim
-        lead_pix += s.lead_pix
+    lead_total = [{t: sum((s.lead_counts[j][t] for s in stats), ContingencyCounts())
+                   for t in thresholds} for j in range(k)]
+    lead_sq = sum(s.lead_sq for s in stats)
+    lead_ab = sum(s.lead_abs for s in stats)
+    lead_ssim = sum(s.lead_ssim for s in stats)
+    lead_pix = sum(s.lead_pix for s in stats)
     total = {t: sum((lead[t] for lead in lead_total), ContingencyCounts()) for t in thresholds}
     pix = lead_pix.sum()
 

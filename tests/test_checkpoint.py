@@ -80,14 +80,31 @@ def rewrite_header(path, edit):
      r"unknown key\(s\) afno_bias, fusion_per_block, pfm_mode"),
     (lambda h: h["param_names"].reverse(), "where the config expects 'enc1.w'"),
     (lambda h: h["config"].update(mem_channels=8), r"'mem1.w' is \(4, 3, 3, 3\)"),
+    (lambda h: h["optimizer"].pop("lr"), "optimizer has no 'lr'"),
+    (lambda h: h["optimizer"].pop("step"), "optimizer has no 'step'"),
 ], ids=["no_config", "no_param_names", "no_step", "config_lacks_key", "older_variant_keys",
-        "param_order", "param_shape"])
+        "param_order", "param_shape", "optimizer_lacks_lr", "optimizer_lacks_step"])
 def test_header_that_does_not_fit_is_named(tmp_path, edit, message):
     model = NowcastModel.initialize(micro_cfg(), seed=1)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, init_state(model.params))
     rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("moment,edit", [
+    ("m", lambda a: a[:-5]), ("m", lambda a: np.concatenate([a, a[:1]])),
+    ("v", lambda a: np.where(np.arange(a.size) == 3, np.nan, a)),
+], ids=["m_short", "m_long", "v_nan"])
+def test_optimizer_moments_that_do_not_fit_are_named(tmp_path, moment, edit):
+    """Moments that do not fit the parameters stop the load, not the first AdamW step."""
+    model = NowcastModel.initialize(micro_cfg(), seed=1)
+    opt = init_state(model.params)
+    setattr(opt, moment, edit(getattr(opt, moment)))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt)
+    with pytest.raises(CheckpointError, match=rf"optimizer\.{moment} is not {model.params.size} "):
         load_checkpoint(path)
 
 

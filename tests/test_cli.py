@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -143,8 +144,11 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     log = (run / "train_log.csv").read_text().strip().splitlines()
     assert log[0] == "step,phase,loss" and len(log) == 6
 
+    capsys.readouterr()
     assert main(["eval", "--config", str(ini), "--checkpoint", str(run / "model.ckpt"),
                  "--manifest", str(data / "manifest.txt"), "--out", str(run)]) == 0
+    assert re.search(r"^eval pool \d+ worker\(s\), BLAS threads per worker: (1|not settable)$",
+                     capsys.readouterr().out, re.MULTILINE)
     csi = (run / "metrics_csi.csv").read_text().splitlines()
     assert csi[0] == "model,threshold,csi,hss"
     assert csi[1].startswith("pfm+fm+ifa,16,")
@@ -256,57 +260,175 @@ def test_eval_bad_thread_count_fails_before_work(tmp_path, monkeypatch, capsys, 
 
 
 def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
-    """A NaN radar frame stops eval at load time, before the checkpoint is read."""
+    """A NaN radar frame stops eval at load time, before any event is scored."""
     from foucast import tensorfile
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
     from foucast.synth import read_manifest
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
     path = read_manifest(data / "manifest.txt").split("test")[0].frames_path
     frames = tensorfile.read_tensor(path)
     frames[-1, 0, 0, 0] = np.nan
     tensorfile.write_tensor(path, frames)
-    rc = main(["eval", "--config", str(ini), "--checkpoint", str(tmp_path / "none.ckpt"),
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
                "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "frames contains non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_checks_checkpoint_before_data(tmp_path, capsys):
+    """A bad checkpoint is reported before the manifest is read (here it does not exist)."""
+    ini = write_ini(tmp_path / "c.ini")
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(b"\x00\x01 not a checkpoint")
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
+               "--manifest", str(tmp_path / "none.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "checkpoint" in err and "none.txt" not in err
+
+
+def micro_model_and_events(n):
+    from foucast.model import ModelConfig, NowcastModel
+    from foucast.synth import SyntheticEventConfig, generate_event
+
+    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
+                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
+    events = [generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
+                                                  n_blobs=2, cov_hw=8))
+              for s in range(n)]
+    return NowcastModel.initialize(cfg, seed=1), events
 
 
 def test_thread_pool_reduction_deterministic(monkeypatch):
     """FOUCAST_THREADS fans out evaluation without changing the results."""
     from foucast.evaluate import default_workers, evaluate_model
-    from foucast.model import ModelConfig, NowcastModel
-    from foucast.synth import SyntheticEventConfig, generate_event
 
     monkeypatch.setenv("FOUCAST_THREADS", "3")
     assert default_workers() == 3
 
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
-                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
-    model = NowcastModel.initialize(cfg, seed=1)
-    events = [generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
-                                                  n_blobs=2, cov_hw=8))
-              for s in range(5)]
+    model, events = micro_model_and_events(5)
     serial = evaluate_model(model, events, [16.0, 74.0], tag="m", max_workers=1)
     pooled = evaluate_model(model, events, [16.0, 74.0], tag="m", max_workers=3)
     assert serial.csi == pooled.csi and serial.hss == pooled.hss
     assert serial.mse == pooled.mse and serial.ssim == pooled.ssim
 
 
+def test_default_workers_counts_usable_cores(monkeypatch):
+    """A process pinned to one core gets a one-worker pool, whatever the host has."""
+    import os
+
+    from foucast.evaluate import default_workers
+
+    monkeypatch.delenv("FOUCAST_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_workers() == 1
+
+
+@pytest.fixture
+def blas_at_two():
+    """The OpenBLAS thread getter, with the count set to 2 for the test and restored after."""
+    from foucast import evaluate
+
+    api = evaluate._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    get, put = api
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_eval_pool_workers_run_one_blas_thread(blas_at_two):
+    """Inside the pool each worker sees one BLAS thread; the count is restored after."""
+    import threading
+
+    from foucast.evaluate import evaluate_model
+
+    model, events = micro_model_and_events(4)
+    seen = []
+    predict = model.predict
+
+    def recording_predict(seq, cov):
+        seen.append((threading.get_ident(), blas_at_two()))
+        return predict(seq, cov)
+
+    model.predict = recording_predict
+    evaluate_model(model, events, [16.0, 74.0], max_workers=2)
+    assert [count for _, count in seen] == [1, 1, 1, 1]
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert blas_at_two() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eval_restores_blas_threads_when_predict_raises(blas_at_two, workers):
+    from foucast.evaluate import evaluate_model
+
+    model, events = micro_model_and_events(3)
+
+    def failing_predict(seq, cov):
+        raise RuntimeError("predict failed")
+
+    model.predict = failing_predict
+    with pytest.raises(RuntimeError, match="predict failed"):
+        evaluate_model(model, events, [16.0, 74.0], max_workers=workers)
+    assert blas_at_two() == 2
+
+
+def test_eval_without_blas_setter_uses_one_worker(monkeypatch):
+    """Where BLAS threads cannot be held at one, the pool would oversubscribe: run serially."""
+    import threading
+
+    from foucast import evaluate
+
+    monkeypatch.setattr(evaluate, "_openblas_threads", lambda: None)
+    assert evaluate.eval_threads(4, 5) == (1, None)
+    model, events = micro_model_and_events(3)
+    threads = []
+    predict = model.predict
+
+    def recording_predict(seq, cov):
+        threads.append(threading.get_ident())
+        return predict(seq, cov)
+
+    model.predict = recording_predict
+    evaluate.evaluate_model(model, events, [16.0, 74.0], max_workers=4)
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_eval_report_bit_identical_across_pool_sizes_at_default_config():
+    """At the paper-default size, where OpenBLAS threads its GEMMs, the pool size
+    does not change a single bit of the report."""
+    import dataclasses
+
+    from foucast.evaluate import evaluate_model
+    from foucast.model import NowcastModel
+    from foucast.synth import generate_event
+
+    cfg = RunConfig()
+    model = NowcastModel.initialize(cfg.model, seed=1)
+    events = [generate_event(cfg.synth_config(seed=s)) for s in range(3)]
+    thresholds = list(cfg.eval.thresholds)
+    serial = evaluate_model(model, events, thresholds, max_workers=1)
+    pooled = evaluate_model(model, events, thresholds, max_workers=2)
+    assert dataclasses.asdict(serial) == dataclasses.asdict(pooled)
+    assert serial.lead_rows and serial.lead_rows == pooled.lead_rows
+
+
 def test_perfect_forecast_metrics():
     """Aggregation sanity: evaluating the truth against itself is perfect."""
     from foucast.evaluate import evaluate_model
-    from foucast.model import ModelConfig, NowcastModel
-    from foucast.synth import SyntheticEventConfig, generate_event
 
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
-                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
-    model = NowcastModel.initialize(cfg, seed=0)
-    model.predict = lambda seq, cov: seq.frames[cfg.t_in:]  # oracle forecaster
-    events = [generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
-                                                  n_blobs=2, cov_hw=8))
-              for s in range(2)]
+    model, events = micro_model_and_events(2)
+    model.predict = lambda seq, cov: seq.frames[model.cfg.t_in:]  # oracle forecaster
     rep = evaluate_model(model, events, [16.0, 74.0, 133.0], tag="truth", max_workers=2)
     assert rep.csi_avg == 1.0 and rep.hss_avg == 1.0
     assert rep.mse == 0.0 and rep.mae == 0.0
