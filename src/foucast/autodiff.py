@@ -130,7 +130,7 @@ def _accumulate(node: Var, contrib: np.ndarray, op: str) -> None:
 
 
 def backward(loss: Var) -> None:
-    """Reverse sweep from a scalar real loss; fills ``grad`` on reachable Vars."""
+    """Reverse sweep from a scalar real loss; fills ``grad`` on the reachable leaves."""
     if loss.value.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.value.shape}")
     if np.iscomplexobj(loss.value):
@@ -156,6 +156,7 @@ def backward(loss: Var) -> None:
         if v._vjp is None or v.grad is None:
             continue
         contribs = v._vjp(v.grad)
+        v.grad = None  # spent: freeing interior cotangents bounds the sweep's memory
         for parent, contrib in zip(v._parents, contribs):
             if contrib is None:
                 continue

@@ -9,16 +9,21 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
-from .evaluate import default_workers, eval_threads, evaluate_model, write_reports
-from .model import ModelError, NowcastModel
-from .synth import Manifest, SynthError, load_event, read_manifest, synth_dataset
+from .evaluate import evaluate_model, write_reports
+from .model import ModelConfig, ModelError, NowcastModel
+from .pool import default_workers, pool_threads
+from .synth import CADENCE_MINUTES, Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
 from .train import TrainError, TrainState, train_model
 
 
-def _load_split(manifest: Manifest, split: str):
-    entries = manifest.split(split)
-    return [load_event(entry, manifest) for entry in entries]
+def _load_split(manifest: Manifest, split: str, cfg: ModelConfig):
+    """The split's events, once the manifest's data is known to fit the model config."""
+    expect = dict(t_in=cfg.t_in, k_out=cfg.k_out, hw=cfg.hw, cadence_minutes=CADENCE_MINUTES)
+    for key, want in expect.items():  # synth_dataset writes str(value)
+        if (got := manifest.meta.get(key)) != str(want):
+            raise ConfigError(f"manifest {key} = {got} does not match the model's {key} = {want}")
+    return [load_event(entry, manifest) for entry in manifest.split(split)]
 
 
 def cmd_synth(args) -> int:
@@ -32,6 +37,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    workers = default_workers()
     manifest_path = args.manifest or cfg.data.manifest
     if manifest_path is None:
         raise ConfigError("no manifest: pass --manifest or set [data] manifest")
@@ -49,9 +55,11 @@ def cmd_train(args) -> int:
         state = None
 
     manifest = read_manifest(manifest_path)
-    events = _load_split(manifest, "train")
+    events = _load_split(manifest, "train", cfg.model)
     if not events:
         raise TrainError("manifest has no train events")
+    pool, blas = pool_threads(workers, min(tcfg.batch, len(events)))
+    print(f"train pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     state = train_model(model, events, tcfg, log_path=out / "train_log.csv", state=state)
@@ -73,10 +81,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("no manifest: pass --manifest or set [data] manifest")
     model, _, _ = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
     manifest = read_manifest(manifest_path)
-    events = _load_split(manifest, "test")
+    events = _load_split(manifest, "test", cfg.model)
     if not events:
         raise ConfigError("manifest has no test events")
-    pool, blas = eval_threads(workers, len(events))
+    pool, blas = pool_threads(workers, len(events))
     print(f"eval pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
     report = evaluate_model(
         model, events, list(cfg.eval.thresholds), tag=cfg.tag(),

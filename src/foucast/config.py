@@ -11,14 +11,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ModelConfig
+from .pool import ConfigError
 from .synth import SyntheticEventConfig
 from .train import TrainConfig
 
 DEFAULT_THRESHOLDS = (16.0, 74.0, 133.0, 160.0, 181.0, 219.0)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass

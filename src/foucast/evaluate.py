@@ -1,78 +1,25 @@
 """Model evaluation over a dataset split, with CSV report emission.
 
-Samples are scored independently (optionally fanned out over a bounded
-thread pool, capped by FOUCAST_THREADS) and reduced in manifest order, with the
-OpenBLAS numpy loaded held at one thread (one worker if it cannot be), so the
-report does not depend on the pool size.  Categorical scores aggregate the
-contingency counts over all pixels before the ratio; pixel errors aggregate
-sums; SSIM averages per-frame scores.
+Samples are scored independently (optionally fanned out over a thread pool
+that ``pool`` sizes, with OpenBLAS held at one thread) and reduced in manifest
+order, so the report does not depend on the pool size.  Categorical scores
+aggregate the contingency counts over all pixels before the ratio; pixel
+errors aggregate sums; SSIM averages per-frame scores.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .config import ConfigError
 from .metrics import ContingencyCounts
 from .model import NowcastModel
+from .pool import default_workers, one_blas_thread, pool_threads
 from .synth import CADENCE_MINUTES, CovariateGrid, RadarSequence
-
-
-def default_workers() -> int:
-    """Eval pool size: FOUCAST_THREADS if set (a positive integer), else <= 4 usable cores."""
-    env = os.environ.get("FOUCAST_THREADS")
-    if not env:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return min(4, cores or 1)
-    if not env.isdecimal() or int(env) < 1:
-        raise ConfigError(f"FOUCAST_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count entries of the OpenBLAS mapped into the process, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {ln.split()[-1] for ln in fh if "openblas" in ln}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:  # no /proc, or a mapping that is not a loadable library
-        return None
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        for lib in libs:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-def eval_threads(max_workers: int | None, n_events: int) -> tuple[int, int | None]:
-    """(pool size, BLAS threads per worker) of evaluate_model; (1, None) without a setter."""
-    if _openblas_threads() is None:
-        return 1, None
-    return min(max_workers or default_workers(), n_events), 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold the process-wide OpenBLAS count at 1 (so calls must not overlap), then restore it."""
-    get, put = _openblas_threads() or (lambda: None, lambda n: None)
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 @dataclass
@@ -131,8 +78,8 @@ def evaluate_model(
         seq, cov = pair
         return _score_sample(model.predict(seq, cov), seq.frames[cfg.t_in :], thresholds)
 
-    workers, _ = eval_threads(max_workers, len(events))
-    with _one_blas_thread():
+    workers, _ = pool_threads(max_workers or default_workers(), len(events))
+    with one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 stats = list(pool.map(work, events))

@@ -11,6 +11,7 @@ run resumed from a checkpoint retraces the original trajectory.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import EPS_UNIT, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OptimizerState, adamw_step, init_state
+from .pool import default_workers, one_blas_thread, pool_threads
 from .synth import CovariateGrid, RadarSequence
 
 
@@ -78,34 +80,55 @@ def batch_indices(seed: int, step: int, n_events: int, batch: int) -> np.ndarray
     return rng.integers(0, n_events, size=min(batch, n_events))
 
 
+def _split_map(fn, items, pool, workers: int) -> list:
+    """``[fn(x) for x in items]``, the calling thread mapping every ``workers``-th item."""
+    futures = {k: pool.submit(fn, x) for k, x in enumerate(items) if k % workers}
+    mine = {k: fn(x) for k, x in enumerate(items) if k % workers == 0}
+    return [mine[k] if k in mine else futures[k].result() for k in range(len(items))]
+
+
 def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConfig) -> float:
-    """One optimizer step; returns the batch loss."""
+    """One optimizer step; returns the batch loss.
+
+    Each sample's graph has its own leaves over the shared arrays, so its passes
+    run on a pool worker.  Gradients are summed last sample first, the order of
+    one shared graph's sweep, so the step does not depend on the pool size.
+    """
     model = state.model
     cfg = model.cfg
     phase = tcfg.phase_of(state.step)
     if phase == 2:
         model.frozen_memory = True
-    idx = batch_indices(tcfg.seed, state.step, len(prepared), tcfg.batch)
+    idx = list(batch_indices(tcfg.seed, state.step, len(prepared), tcfg.batch))
+    scale = 1.0 / len(idx)
 
-    leaves = make_leaves(model.params)
-    total = None
-    for i in idx:
+    def forward(i):
         ev = prepared[i]
-        inputs = ev.frames[: cfg.t_in]
-        targets = ev.frames[cfg.t_in :]
+        leaves = make_leaves(model.params)
         pred, _ = forward_tape(
-            leaves, cfg, inputs, ev.cov_aligned, phase=phase,
+            leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
             gt_frames=ev.frames if phase == 1 else None,
         )
-        sample_loss = loss_tape(pred, targets, cfg.lam)
-        total = sample_loss if total is None else ad.add(total, sample_loss)
-    loss = ad.mul(total, 1.0 / len(idx))
-    loss_value = float(loss.value)
-    if not np.isfinite(loss_value):
-        raise TrainError(f"non-finite loss {loss_value} at step {state.step}")
+        return leaves, loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
 
-    ad.backward(loss)
-    grads = collect_grads(model.params, leaves)
+    def backward(sample):
+        leaves, sample_loss = sample
+        ad.backward(ad.mul(sample_loss, scale))
+        return collect_grads(model.params, leaves)
+
+    workers, _ = pool_threads(default_workers(), len(idx))
+    # an unused executor starts no thread
+    with one_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        samples = _split_map(forward, idx, pool, workers)
+        loss_value = float(sum(sample_loss.value for _, sample_loss in samples) * scale)
+        if not np.isfinite(loss_value):
+            raise TrainError(f"non-finite loss {loss_value} at step {state.step}")
+        per_sample = _split_map(backward, samples, pool, workers)
+    grads = per_sample[-1]
+    for earlier in reversed(per_sample[:-1]):
+        for name, g in grads:
+            g += earlier[name]
+
     frozen = frozenset({"memory.slots"}) if model.frozen_memory else frozenset()
     model.params, state.opt = adamw_step(model.params, grads, state.opt, frozen=frozen)
     if not model.frozen_memory:

@@ -40,6 +40,16 @@ def test_backward_rejects_nonscalar_and_complex():
         backward(z)
 
 
+def test_backward_frees_interior_cotangents():
+    """Leaves keep their gradients; a node's cotangent is dropped once its rule has run."""
+    x = Var(np.array([1.0, 2.0, 3.0]))
+    square = ad.mul(x, x)
+    loss = total(square)
+    backward(loss)
+    assert np.allclose(x.grad, [2.0, 4.0, 6.0])
+    assert square.grad is None and loss.grad is None
+
+
 def test_shared_subexpression_accumulates():
     x = Var(np.array(3.0))
     y = ad.add(ad.mul(x, x), x)  # x^2 + x

@@ -141,6 +141,8 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     assert main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
                  "--out", str(run)]) == 0
     assert (run / "model.ckpt").exists()
+    assert re.search(r"^train pool \d+ worker\(s\), BLAS threads per worker: (1|not settable)$",
+                     capsys.readouterr().out, re.MULTILINE)
     log = (run / "train_log.csv").read_text().strip().splitlines()
     assert log[0] == "step,phase,loss" and len(log) == 6
 
@@ -259,6 +261,51 @@ def test_eval_bad_thread_count_fails_before_work(tmp_path, monkeypatch, capsys, 
     assert "FOUCAST_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_train_bad_thread_count_fails_before_work(tmp_path, monkeypatch, capsys, value):
+    """FOUCAST_THREADS is read before the checkpoint and the manifest (neither exists here)."""
+    ini = write_ini(tmp_path / "c.ini")
+    monkeypatch.setenv("FOUCAST_THREADS", value)
+    rc = main(["train", "--config", str(ini), "--checkpoint", str(tmp_path / "none.ckpt"),
+               "--manifest", str(tmp_path / "none.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "FOUCAST_THREADS" in err and "none" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit,key", [
+    ({"t_in = 2": "t_in = 3", "k_out = 2": "k_out = 1"}, "t_in"),  # 4 frames either way
+    ({"hw = 16": "hw = 32", "hidden_hw = 4": "hidden_hw = 8"}, "hw"),
+])
+def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch, capsys,
+                                                            command, edit, key):
+    """A dataset whose frames do not fit [model] stops train and eval, naming the key."""
+    from foucast import cli
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    other = tmp_path / "other.ini"
+    text = ini.read_text()
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    other.write_text(text)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(other).model, seed=0))
+    loaded = []
+    monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    rc = main([command, "--config", str(other), "--manifest", str(data / "manifest.txt"),
+               "--out", str(tmp_path / "run"), *args])
+    assert rc == 2
+    assert f"manifest {key} = " in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "run").exists()
+
+
 def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
     """A NaN radar frame stops eval at load time, before any event is scored."""
     from foucast import tensorfile
@@ -332,21 +379,6 @@ def test_default_workers_counts_usable_cores(monkeypatch):
     assert default_workers() == 1
 
 
-@pytest.fixture
-def blas_at_two():
-    """The OpenBLAS thread getter, with the count set to 2 for the test and restored after."""
-    from foucast import evaluate
-
-    api = evaluate._openblas_threads()
-    if api is None:
-        pytest.skip("no OpenBLAS thread setter in this process")
-    get, put = api
-    before = get()
-    put(2)
-    yield get
-    put(before)
-
-
 def test_eval_pool_workers_run_one_blas_thread(blas_at_two):
     """Inside the pool each worker sees one BLAS thread; the count is restored after."""
     import threading
@@ -387,10 +419,10 @@ def test_eval_without_blas_setter_uses_one_worker(monkeypatch):
     """Where BLAS threads cannot be held at one, the pool would oversubscribe: run serially."""
     import threading
 
-    from foucast import evaluate
+    from foucast import evaluate, pool
 
-    monkeypatch.setattr(evaluate, "_openblas_threads", lambda: None)
-    assert evaluate.eval_threads(4, 5) == (1, None)
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: None)
+    assert pool.pool_threads(4, 5) == (1, None)
     model, events = micro_model_and_events(3)
     threads = []
     predict = model.predict

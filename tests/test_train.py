@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foucast import autodiff as ad
 from foucast.model import ModelConfig, NowcastModel
 from foucast.synth import SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, TrainError, train_model
@@ -109,3 +110,136 @@ def test_no_events_rejected():
     model = NowcastModel.initialize(cfg, seed=6)
     with pytest.raises(TrainError):
         train_model(model, [], TrainConfig())
+
+
+def train_with_pool(monkeypatch, workers, steps=(2, 2)):
+    monkeypatch.setenv("FOUCAST_THREADS", str(workers))
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=7)
+    tcfg = TrainConfig(lr=0.003, batch=3, phase1_steps=steps[0], phase2_steps=steps[1], seed=7)
+    return train_model(model, make_events(cfg), tcfg)
+
+
+def test_pool_size_does_not_change_training(monkeypatch):
+    """Losses, parameters and moments are bit-identical for pools of 1, 2 and 3 workers,
+    with threads switching far more often than usual."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [train_with_pool(monkeypatch, w) for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in runs[1:]:
+        assert other.history == runs[0].history
+        assert np.array_equal(other.model.params.to_flat(), runs[0].model.params.to_flat())
+        assert np.array_equal(other.opt.m, runs[0].opt.m)
+        assert np.array_equal(other.opt.v, runs[0].opt.v)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_step_gradient_equals_one_shared_graph(monkeypatch, phase):
+    """The pooled step reproduces, bit for bit, the sweep of one graph over shared leaves."""
+    from foucast import pool, train
+    from foucast.model import collect_grads, forward_tape, loss_tape, make_leaves
+    from foucast.optim import init_state
+
+    monkeypatch.setenv("FOUCAST_THREADS", "2")
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=8)
+    prepared = train.prepare_events(model, make_events(cfg))
+    tcfg = TrainConfig(batch=3, phase1_steps=2 - phase, phase2_steps=1, seed=8)
+
+    leaves = make_leaves(model.params)
+    total = None
+    with pool.one_blas_thread():
+        for i in train.batch_indices(tcfg.seed, 0, len(prepared), tcfg.batch):
+            ev = prepared[i]
+            pred, _ = forward_tape(leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned,
+                                   phase=phase, gt_frames=ev.frames if phase == 1 else None)
+            sample_loss = loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
+            total = sample_loss if total is None else ad.add(total, sample_loss)
+        loss = ad.mul(total, 1.0 / tcfg.batch)
+        ad.backward(loss)
+    expected = collect_grads(model.params, leaves)
+
+    stepped = []
+    adamw_step = train.adamw_step
+
+    def recording_adamw(params, grads, *args, **kwargs):
+        stepped.append(grads)
+        return adamw_step(params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(train, "adamw_step", recording_adamw)
+    state = train.TrainState(model=model, opt=init_state(model.params))
+    assert train.train_step(state, prepared, tcfg) == float(loss.value)
+    assert np.array_equal(stepped[0].to_flat(), expected.to_flat())
+
+
+def recording(monkeypatch, module, name, seen, record):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(record())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch, blas_at_two):
+    """Every pass of the step sees one BLAS thread; the count is restored after the step."""
+    import threading
+
+    from foucast import train
+
+    def record():
+        return threading.get_ident(), blas_at_two()
+
+    seen = []
+    recording(monkeypatch, train, "forward_tape", seen, record)
+    recording(monkeypatch, ad, "backward", seen, record)
+    train_with_pool(monkeypatch, 2, steps=(1, 1))
+    assert len(seen) == 2 * 2 * 3 and {count for _, count in seen} == {1}
+    idents = {ident for ident, _ in seen}  # a new pool thread each step
+    assert threading.get_ident() in idents and len(idents) > 1
+    assert blas_at_two() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blas_threads_restored_when_step_raises(monkeypatch, blas_at_two, workers):
+    from foucast import train
+
+    def failing_forward(*args, **kwargs):
+        raise RuntimeError("forward failed")
+
+    monkeypatch.setattr(train, "forward_tape", failing_forward)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        train_with_pool(monkeypatch, workers)
+    assert blas_at_two() == 2
+
+
+def test_non_finite_loss_raises_before_any_backward(monkeypatch):
+    from foucast import train
+
+    loss_tape = train.loss_tape
+    monkeypatch.setattr(train, "loss_tape", lambda *a: ad.mul(loss_tape(*a), np.nan))
+    swept = []
+    recording(monkeypatch, ad, "backward", swept, lambda: True)
+    with pytest.raises(TrainError, match="non-finite loss nan at step 0"):
+        train_with_pool(monkeypatch, 2)
+    assert swept == []
+
+
+def test_without_blas_setter_step_runs_on_one_worker(monkeypatch):
+    """Where BLAS threads cannot be held at one, a pool would oversubscribe: run serially."""
+    import threading
+
+    from foucast import pool, train
+
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: None)
+    threads = []
+    recording(monkeypatch, train, "forward_tape", threads, threading.get_ident)
+    recording(monkeypatch, ad, "backward", threads, threading.get_ident)
+    train_with_pool(monkeypatch, 3, steps=(1, 1))
+    assert threads == [threading.get_ident()] * (2 * 2 * 3)
