@@ -14,7 +14,7 @@ from .model import ModelConfig, ModelError, NowcastModel
 from .pool import default_workers, pool_threads
 from .synth import CADENCE_MINUTES, Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
-from .train import TrainError, TrainState, train_model
+from .train import TrainError, TrainState, step_workers, train_model
 
 
 def _load_split(manifest: Manifest, split: str, cfg: ModelConfig):
@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
     events = _load_split(manifest, "train", cfg.model)
     if not events:
         raise TrainError("manifest has no train events")
-    pool, blas = pool_threads(workers, min(tcfg.batch, len(events)))
+    pool, blas = step_workers(cfg.model, workers, min(tcfg.batch, len(events)))
     print(f"train pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .model import EPS_UNIT, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
+from .model import EPS_UNIT, ModelConfig, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OptimizerState, adamw_step, init_state
 from .pool import default_workers, one_blas_thread, pool_threads
 from .synth import CovariateGrid, RadarSequence
@@ -80,6 +80,18 @@ def batch_indices(seed: int, step: int, n_events: int, batch: int) -> np.ndarray
     return rng.integers(0, n_events, size=min(batch, n_events))
 
 
+# Pool a step only where a sample's full-resolution activation, hw * hw * enc_channels[0], has
+# this many elements.  Below it GIL-free numpy kernels are too short for a second thread to gain
+# (2 vCPUs: 0.95x at 2**15, 0.99x at 2**16, 1.35x at 2**17), and the step only varies more.
+POOL_MIN_ELEMENTS = 1 << 17
+
+
+def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[int, int | None]:
+    """(pool size, BLAS threads per worker) of a train step over ``n_samples``."""
+    big = cfg.hw * cfg.hw * cfg.enc_channels[0] >= POOL_MIN_ELEMENTS
+    return pool_threads(max_workers, n_samples if big else 1)
+
+
 def _split_map(fn, items, pool, workers: int) -> list:
     """``[fn(x) for x in items]``, the calling thread mapping every ``workers``-th item."""
     futures = {k: pool.submit(fn, x) for k, x in enumerate(items) if k % workers}
@@ -91,7 +103,7 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     """One optimizer step; returns the batch loss.
 
     Each sample's graph has its own leaves over the shared arrays, so its passes
-    run on a pool worker.  Gradients are summed last sample first, the order of
+    can run on a pool worker (see ``step_workers``).  Gradients are summed last sample first, the order of
     one shared graph's sweep, so the step does not depend on the pool size.
     """
     model = state.model
@@ -116,7 +128,7 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
         ad.backward(ad.mul(sample_loss, scale))
         return collect_grads(model.params, leaves)
 
-    workers, _ = pool_threads(default_workers(), len(idx))
+    workers, _ = step_workers(cfg, default_workers(), len(idx))
     # an unused executor starts no thread
     with one_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         samples = _split_map(forward, idx, pool, workers)

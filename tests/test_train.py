@@ -113,7 +113,10 @@ def test_no_events_rejected():
 
 
 def train_with_pool(monkeypatch, workers, steps=(2, 2)):
+    from foucast import train
+
     monkeypatch.setenv("FOUCAST_THREADS", str(workers))
+    monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)  # pool the micro config too
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=7)
     tcfg = TrainConfig(lr=0.003, batch=3, phase1_steps=steps[0], phase2_steps=steps[1], seed=7)
@@ -146,6 +149,7 @@ def test_step_gradient_equals_one_shared_graph(monkeypatch, phase):
     from foucast.optim import init_state
 
     monkeypatch.setenv("FOUCAST_THREADS", "2")
+    monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=8)
     prepared = train.prepare_events(model, make_events(cfg))
@@ -243,3 +247,21 @@ def test_without_blas_setter_step_runs_on_one_worker(monkeypatch):
     recording(monkeypatch, ad, "backward", threads, threading.get_ident)
     train_with_pool(monkeypatch, 3, steps=(1, 1))
     assert threads == [threading.get_ident()] * (2 * 2 * 3)
+
+
+def test_small_samples_step_on_the_calling_thread(monkeypatch):
+    """Below POOL_MIN_ELEMENTS a pool would only contend for the GIL: the step runs serially."""
+    import threading
+
+    from foucast import pool, train
+
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    small, big = micro_cfg(), micro_cfg(hw=128, hidden_hw=32, enc_channels=(8, 8, 8))
+    assert train.step_workers(small, 4, 3) == (1, 1)
+    assert train.step_workers(big, 4, 3) == (3, 1)
+    monkeypatch.setenv("FOUCAST_THREADS", "3")
+    threads = []
+    recording(monkeypatch, train, "forward_tape", threads, threading.get_ident)
+    model = NowcastModel.initialize(small, seed=7)
+    train_model(model, make_events(small), TrainConfig(batch=3, phase1_steps=1, phase2_steps=1))
+    assert threads == [threading.get_ident()] * (2 * 3)
