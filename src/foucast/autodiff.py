@@ -63,36 +63,6 @@ class Var:
             self._vjp = None
         self._id = next(_NODE_COUNTER)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Var(op={self.op}, shape={self.value.shape})"
-
-    # convenience arithmetic; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
 
 def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
@@ -158,8 +128,6 @@ def backward(loss: Var) -> None:
         contribs = v._vjp(v.grad)
         v.grad = None  # spent: freeing interior cotangents bounds the sweep's memory
         for parent, contrib in zip(v._parents, contribs):
-            if contrib is None:
-                continue
             _accumulate(parent, contrib, v.op)
 
 
@@ -279,18 +247,14 @@ def softmax(x, axis: int = -1) -> Var:
 # reductions and shape ops
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Var:
+def mean(x) -> Var:
+    """Mean over all entries."""
     x = as_var(x)
-    out = np.mean(x.value, axis=axis, keepdims=keepdims)
-    n = x.value.size / max(out.size, 1)
 
     def vjp(g):
-        g = np.asarray(g) / n
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.value.shape).copy(),)
+        return (np.broadcast_to(np.asarray(g) / x.value.size, x.value.shape).copy(),)
 
-    return Var(out, (x,), vjp, op="mean")
+    return Var(np.mean(x.value), (x,), vjp, op="mean")
 
 
 def reshape(x, shape) -> Var:
@@ -524,21 +488,16 @@ def _col2im(cols: np.ndarray, c: int, k: int, stride: int, padded_hw: tuple[int,
     return buf
 
 
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Var:
+def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Var:
     """2D convolution: x (Cin, H, W), w (Cout, Cin, k, k), b (Cout,)."""
-    x, w = as_var(x), as_var(w)
+    x, w, b = as_var(x), as_var(w), as_var(b)
     cin, h, ww = x.value.shape
     cout, cin_w, k, _ = w.value.shape
     if cin != cin_w:
         raise AutodiffError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
     cols, n_h, n_w = _im2col(x.value, k, stride, pad)
     w2 = w.value.reshape(cout, cin * k * k)
-    out = (w2 @ cols).reshape(cout, n_h, n_w)
-    parents = [x, w]
-    if b is not None:
-        b = as_var(b)
-        out = out + b.value[:, None, None]
-        parents.append(b)
+    out = (w2 @ cols).reshape(cout, n_h, n_w) + b.value[:, None, None]
 
     def vjp(g):
         g2 = g.reshape(cout, n_h * n_w)
@@ -547,20 +506,17 @@ def conv2d(x, w, b=None, stride: int = 1, pad: int = 0) -> Var:
         gx = _col2im(gcols, cin, k, stride, (h + 2 * pad, ww + 2 * pad), n_h, n_w)
         if pad:
             gx = gx[:, pad:-pad, pad:-pad]
-        grads = [gx, gw]
-        if b is not None:
-            grads.append(g.sum(axis=(1, 2)))
-        return tuple(grads)
+        return gx, gw, g.sum(axis=(1, 2))
 
-    return Var(out, tuple(parents), vjp, op="conv2d")
+    return Var(out, (x, w, b), vjp, op="conv2d")
 
 
-def conv2d_transpose(x, w, b=None, stride: int = 1, pad: int = 0) -> Var:
-    """Transposed 2D convolution: x (Cin, H, W), w (Cin, Cout, k, k).
+def conv2d_transpose(x, w, b, stride: int = 1, pad: int = 0) -> Var:
+    """Transposed 2D convolution: x (Cin, H, W), w (Cin, Cout, k, k), b (Cout,).
 
     Output spatial size is ``stride*(H-1) + k - 2*pad``.
     """
-    x, w = as_var(x), as_var(w)
+    x, w, b = as_var(x), as_var(w), as_var(b)
     cin, h, ww = x.value.shape
     cin_w, cout, k, _ = w.value.shape
     if cin != cin_w:
@@ -571,12 +527,7 @@ def conv2d_transpose(x, w, b=None, stride: int = 1, pad: int = 0) -> Var:
     x2 = x.value.reshape(cin, h * ww)
     cols = w2.T @ x2
     full = _col2im(cols, cout, k, stride, (hp, wp), h, ww)
-    out = full[:, pad : hp - pad, pad : wp - pad]
-    parents = [x, w]
-    if b is not None:
-        b = as_var(b)
-        out = out + b.value[:, None, None]
-        parents.append(b)
+    out = full[:, pad : hp - pad, pad : wp - pad] + b.value[:, None, None]
 
     def vjp(g):
         gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad))) if pad else g
@@ -584,9 +535,6 @@ def conv2d_transpose(x, w, b=None, stride: int = 1, pad: int = 0) -> Var:
         assert (gn_h, gn_w) == (h, ww)
         gx = (w2 @ gcols).reshape(x.value.shape)
         gw = (x2 @ gcols.T).reshape(w.value.shape)
-        grads = [gx, gw]
-        if b is not None:
-            grads.append(g.sum(axis=(1, 2)))
-        return tuple(grads)
+        return gx, gw, g.sum(axis=(1, 2))
 
-    return Var(out, tuple(parents), vjp, op="conv2d_transpose")
+    return Var(out, (x, w, b), vjp, op="conv2d_transpose")

@@ -1,15 +1,15 @@
 """Model evaluation over a dataset split, with CSV report emission.
 
-Samples are scored independently (optionally fanned out over a thread pool
-that ``pool`` sizes, with OpenBLAS held at one thread) and reduced in manifest
-order, so the report does not depend on the pool size.  Categorical scores
-aggregate the contingency counts over all pixels before the ratio; pixel
-errors aggregate sums; SSIM averages per-frame scores.
+Samples are scored independently on the worker pool (``pool.fan_out``: the
+calling thread scores every W-th event and pool threads the rest, with OpenBLAS
+held at one thread) and reduced in manifest order, so the report does not
+depend on the pool size.  Categorical scores aggregate the contingency counts
+over all pixels before the ratio; pixel errors aggregate sums; SSIM averages
+per-frame scores.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .metrics import ContingencyCounts
 from .model import NowcastModel
-from .pool import default_workers, one_blas_thread, pool_threads
+from .pool import default_workers, fan_out
 from .synth import CADENCE_MINUTES, CovariateGrid, RadarSequence
 
 
@@ -78,13 +78,7 @@ def evaluate_model(
         seq, cov = pair
         return _score_sample(model.predict(seq, cov), seq.frames[cfg.t_in :], thresholds)
 
-    workers, _ = pool_threads(max_workers or default_workers(), len(events))
-    with one_blas_thread():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                stats = list(pool.map(work, events))
-        else:
-            stats = [work(pair) for pair in events]
+    stats = fan_out(work, events, max_workers or default_workers())
 
     k = cfg.k_out
     lead_total = [{t: sum((s.lead_counts[j][t] for s in stats), ContingencyCounts())

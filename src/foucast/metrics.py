@@ -16,6 +16,11 @@ import numpy as np
 
 PIXEL_SCALE = 255.0
 PSNR_PERFECT = math.inf  # sentinel for identical inputs
+# SSIM: Gaussian window side and width, and the stabilising constants of Wang et al. (2004)
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 class MetricError(ValueError):
@@ -103,32 +108,25 @@ def psnr(mse_value: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
-    """(n - window + 1, n) matrix whose row i holds the normalised 1-D taps at i.
+def _gaussian_band(n: int) -> np.ndarray:
+    """(n - SSIM_WINDOW + 1, n) matrix whose row i holds the normalised 1-D taps at i.
 
     The 2-D window is the outer product of these taps, so the windowed mean
     of a frame over all valid positions is ``band_h @ x @ band_w.T``.  The
     cached array is shared by every caller (and eval pool thread), so it is
     read-only.
     """
-    half = (window - 1) / 2.0
-    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma**2))
+    half = (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-((np.arange(SSIM_WINDOW) - half) ** 2) / (2.0 * SSIM_SIGMA**2))
     g /= g.sum()
-    band = np.zeros((n - window + 1, n))
-    for i in range(n - window + 1):
-        band[i, i : i + window] = g
+    band = np.zeros((n - SSIM_WINDOW + 1, n))
+    for i in range(n - SSIM_WINDOW + 1):
+        band[i, i : i + SSIM_WINDOW] = g
     band.setflags(write=False)
     return band
 
 
-def ssim(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    window: int = 11,
-    sigma: float = 1.5,
-    k1: float = 0.01,
-    k2: float = 0.03,
-) -> float:
+def ssim(pred: np.ndarray, gt: np.ndarray) -> float:
     """Structural similarity with a Gaussian window, valid positions only.
 
     Inputs are (..., H, W) stacks in [0, 1]; frames are scored independently
@@ -138,12 +136,12 @@ def ssim(
     pred, gt = _check_match(pred, gt)
     pf = _frames(pred) * PIXEL_SCALE
     gf = _frames(gt) * PIXEL_SCALE
-    if pf.shape[1] < window or pf.shape[2] < window:
-        raise MetricError(f"frame {pf.shape[1:]} smaller than {window}x{window} window")
-    band_h = _gaussian_band(pf.shape[1], window, sigma)
-    band_w_t = _gaussian_band(pf.shape[2], window, sigma).T
-    c1 = (k1 * PIXEL_SCALE) ** 2
-    c2 = (k2 * PIXEL_SCALE) ** 2
+    if pf.shape[1] < SSIM_WINDOW or pf.shape[2] < SSIM_WINDOW:
+        raise MetricError(f"frame {pf.shape[1:]} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    band_h = _gaussian_band(pf.shape[1])
+    band_w_t = _gaussian_band(pf.shape[2]).T
+    c1 = (SSIM_K1 * PIXEL_SCALE) ** 2
+    c2 = (SSIM_K2 * PIXEL_SCALE) ** 2
 
     def w_mean(x):
         return band_h @ x @ band_w_t

@@ -1,6 +1,6 @@
-"""Worker pools of training and evaluation: their size, and the OpenBLAS numpy
-loaded held at one thread per worker, so every pool size computes at the same
-BLAS thread count.  Where no thread setter is found, a pool has one worker.
+"""The worker pool of training and evaluation: its size, and the one fan-out over it,
+which holds the OpenBLAS numpy loaded at one thread per worker, so every pool size
+computes at the same BLAS thread count.  Without a thread setter a pool has one worker.
 """
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 
@@ -61,3 +62,28 @@ def one_blas_thread():
         yield
     finally:
         put(before)
+
+
+# Pool threads live as long as the process: a pool built per call ends one thread as the next
+# starts, the new one can get a fresh malloc arena, and train_default then peaked ~60 MB higher.
+@functools.cache
+def _executor(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads)
+
+
+def fan_out(fn, items: list, max_workers: int) -> list:
+    """``[fn(x) for x in items]`` on ``pool_threads`` workers, OpenBLAS held at one thread.
+
+    The calling thread maps every W-th item and W - 1 pool threads the rest.
+    Results come back in item order, and the BLAS count is restored, once every
+    item has finished, also when ``fn`` raises.
+    """
+    workers, _ = pool_threads(max_workers, len(items))
+    pool = _executor(max(workers - 1, 1))  # no thread starts until an item is submitted
+    with one_blas_thread():
+        futures = {k: pool.submit(fn, x) for k, x in enumerate(items) if k % workers}
+        try:
+            mine = {k: fn(x) for k, x in enumerate(items) if k % workers == 0}
+        finally:
+            wait(futures.values())
+        return [mine[k] if k in mine else futures[k].result() for k in range(len(items))]

@@ -282,30 +282,34 @@ def read_manifest(path: str | Path) -> Manifest:
     cov_mean = np.zeros(N_COV_CHANNELS)
     cov_std = np.ones(N_COV_CHANNELS)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("covstat "):
-                _, ch, m, s = line.split()
-                cov_mean[int(ch)] = float(m)
-                cov_std[int(ch)] = float(s)
-            elif line.startswith("event "):
-                _, split, fp, cp, lp = line.split()
-                entry = ManifestEntry(
-                    split=split,
-                    frames_path=path.parent / fp,
-                    covs_path=path.parent / cp,
-                    leads_path=path.parent / lp,
-                )
-                for p in (entry.frames_path, entry.covs_path, entry.leads_path):
-                    if not p.exists():
-                        raise SynthError(f"manifest references missing file {p}")
-                    tensorfile.validate_header(p)
-                entries.append(entry)
-            elif "=" in line:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
+            try:  # every ValueError below is a line that does not parse; name it
+                if line.startswith("covstat "):
+                    _, ch, m, s = line.split()
+                    if not 0 <= int(ch) < N_COV_CHANNELS:
+                        raise ValueError(f"covariate channel {ch} outside 0..{N_COV_CHANNELS - 1}")
+                    cov_mean[int(ch)], cov_std[int(ch)] = float(m), float(s)
+                elif line.startswith("event "):
+                    _, split, fp, cp, lp = line.split()
+                    entry = ManifestEntry(
+                        split=split,
+                        frames_path=path.parent / fp,
+                        covs_path=path.parent / cp,
+                        leads_path=path.parent / lp,
+                    )
+                    for p in (entry.frames_path, entry.covs_path, entry.leads_path):
+                        if not p.exists():
+                            raise SynthError(f"manifest references missing file {p}")
+                        tensorfile.validate_header(p)
+                    entries.append(entry)
+                elif "=" in line:
+                    key, _, value = line.partition("=")
+                    meta[key.strip()] = value.strip()
+            except ValueError as exc:
+                raise SynthError(f"{path} line {lineno}: {exc}") from None
     return Manifest(path=path, meta=meta, entries=entries, cov_mean=cov_mean, cov_std=cov_std)
 
 

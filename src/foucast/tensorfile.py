@@ -9,6 +9,7 @@ mode and carry the byte offset where parsing stopped.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,12 @@ def write_stream(fh: io.BufferedIOBase, tensor: np.ndarray) -> None:
 
 def read_stream(fh: io.BufferedIOBase) -> np.ndarray:
     pos = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(pos)
 
     def need(n: int, what: str) -> bytes:
         nonlocal pos
-        buf = fh.read(n)
+        buf = fh.read(min(n, end - pos))  # a header may claim more bytes than memory holds
         if len(buf) != n:
             raise TruncatedError(
                 f"truncated {what}: expected {n} bytes, got {len(buf)}", pos + len(buf)
@@ -84,7 +87,7 @@ def read_stream(fh: io.BufferedIOBase) -> np.ndarray:
     rank = need(1, "rank")[0]
     dims = np.frombuffer(need(4 * rank, "dims"), dtype="<u4")
     dt = _CODE_TO_DTYPE[code]
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(int(d) for d in dims)  # Python ints: a u4 product would wrap
     payload = need(count * dt.itemsize, "payload")
     return np.frombuffer(payload, dtype=dt).reshape(tuple(int(d) for d in dims)).copy()
 

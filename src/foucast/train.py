@@ -11,7 +11,6 @@ run resumed from a checkpoint retraces the original trajectory.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import EPS_UNIT, ModelConfig, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OptimizerState, adamw_step, init_state
-from .pool import default_workers, one_blas_thread, pool_threads
+from .pool import default_workers, fan_out, pool_threads
 from .synth import CovariateGrid, RadarSequence
 
 
@@ -92,19 +91,13 @@ def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[in
     return pool_threads(max_workers, n_samples if big else 1)
 
 
-def _split_map(fn, items, pool, workers: int) -> list:
-    """``[fn(x) for x in items]``, the calling thread mapping every ``workers``-th item."""
-    futures = {k: pool.submit(fn, x) for k, x in enumerate(items) if k % workers}
-    mine = {k: fn(x) for k, x in enumerate(items) if k % workers == 0}
-    return [mine[k] if k in mine else futures[k].result() for k in range(len(items))]
-
-
 def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConfig) -> float:
     """One optimizer step; returns the batch loss.
 
-    Each sample's graph has its own leaves over the shared arrays, so its passes
-    can run on a pool worker (see ``step_workers``).  Gradients are summed last sample first, the order of
-    one shared graph's sweep, so the step does not depend on the pool size.
+    Each sample's graph has its own leaves over the shared arrays, so its forward
+    pass and then its sweep can run on a pool worker (``fan_out``, sized by
+    ``step_workers``).  Gradients are summed last sample first, the order of one
+    shared graph's sweep, so the step does not depend on the pool size.
     """
     model = state.model
     cfg = model.cfg
@@ -129,13 +122,11 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
         return collect_grads(model.params, leaves)
 
     workers, _ = step_workers(cfg, default_workers(), len(idx))
-    # an unused executor starts no thread
-    with one_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        samples = _split_map(forward, idx, pool, workers)
-        loss_value = float(sum(sample_loss.value for _, sample_loss in samples) * scale)
-        if not np.isfinite(loss_value):
-            raise TrainError(f"non-finite loss {loss_value} at step {state.step}")
-        per_sample = _split_map(backward, samples, pool, workers)
+    samples = fan_out(forward, idx, workers)
+    loss_value = float(sum(sample_loss.value for _, sample_loss in samples) * scale)
+    if not np.isfinite(loss_value):
+        raise TrainError(f"non-finite loss {loss_value} at step {state.step}")
+    per_sample = fan_out(backward, samples, workers)
     grads = per_sample[-1]
     for earlier in reversed(per_sample[:-1]):
         for name, g in grads:

@@ -306,6 +306,35 @@ def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch
     assert loaded == [] and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bad_line", [
+    "covstat 0 x0.08 1.0",            # a value that is not a number
+    "covstat 99 0.0 1.0",             # a channel the covariates do not have
+    "event test frames.fct covs.fct",  # four fields, not five
+])
+def test_unparsable_manifest_line_fails_before_events_load(tmp_path, monkeypatch, capsys,
+                                                          bad_line):
+    """A manifest line that does not parse stops eval with exit code 2, naming the line."""
+    from foucast import cli
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [bad_line]) + "\n")
+    loaded = []
+    monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
+               "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"line {len(lines) + 1}: " in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "run").exists()
+
+
 def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
     """A NaN radar frame stops eval at load time, before any event is scored."""
     from foucast import tensorfile
@@ -380,7 +409,8 @@ def test_default_workers_counts_usable_cores(monkeypatch):
 
 
 def test_eval_pool_workers_run_one_blas_thread(blas_at_two):
-    """Inside the pool each worker sees one BLAS thread; the count is restored after."""
+    """Every predict, on the calling thread or a pool thread, sees one BLAS thread;
+    the count is restored after."""
     import threading
 
     from foucast.evaluate import evaluate_model
@@ -396,8 +426,20 @@ def test_eval_pool_workers_run_one_blas_thread(blas_at_two):
     model.predict = recording_predict
     evaluate_model(model, events, [16.0, 74.0], max_workers=2)
     assert [count for _, count in seen] == [1, 1, 1, 1]
-    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert len({ident for ident, _ in seen}) > 1
     assert blas_at_two() == 2
+
+
+def test_fan_out_keeps_item_order_and_maps_every_wth_item_on_the_caller(monkeypatch):
+    import threading
+
+    from foucast import pool
+
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    caller = threading.get_ident()
+    out = pool.fan_out(lambda x: (x * x, threading.get_ident() == caller), list(range(7)), 3)
+    assert [square for square, _ in out] == [x * x for x in range(7)]
+    assert [k for k, (_, on_caller) in enumerate(out) if on_caller] == [0, 3, 6]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

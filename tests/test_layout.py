@@ -1,8 +1,10 @@
-"""Every library module and every public library name is used by the library.
+"""Every library module and every public library name is used by the library,
+and one module fans work out over threads.
 
 A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
-``UNUSED_ALLOWED`` are the only exceptions.
+``UNUSED_ALLOWED`` are the only exceptions.  ``pool.fan_out`` is the one
+fan-out, so only ``pool.py`` imports ``concurrent.futures``.
 """
 
 import ast
@@ -86,3 +88,20 @@ def test_every_public_name_is_used_by_the_library():
               and not node.name.startswith("_")}
     unused = sorted(f"{m}.{n}" for m, n in public - used - UNUSED_ALLOWED)
     assert not unused, f"public names no src module uses: {unused}"
+
+
+def absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level package of every absolute import in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def test_only_pool_imports_concurrent_futures():
+    importers = sorted(p.stem for p in SRC.glob("*.py")
+                       if "concurrent" in absolute_imports(ast.parse(p.read_text())))
+    assert importers == ["pool"], f"modules importing concurrent.futures: {importers}"

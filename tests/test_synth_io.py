@@ -61,6 +61,14 @@ def test_truncated_payload_reports_counts(tmp_path):
         tensorfile.read_tensor(p)
 
 
+def test_dims_whose_product_overflows_u4_are_truncated(tmp_path):
+    """Four dims of 2**16 claim 2**64 elements: the count must not wrap to 0."""
+    p = tmp_path / "big.fct"
+    p.write_bytes(b"FCT1" + bytes([0, 4]) + np.full(4, 1 << 16, dtype="<u4").tobytes())
+    with pytest.raises(tensorfile.TruncatedError, match=f"expected {4 << 64} bytes, got 0"):
+        tensorfile.read_tensor(p)
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "b.fct"
     p.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -205,7 +205,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, blas_at_two):
     recording(monkeypatch, ad, "backward", seen, record)
     train_with_pool(monkeypatch, 2, steps=(1, 1))
     assert len(seen) == 2 * 2 * 3 and {count for _, count in seen} == {1}
-    idents = {ident for ident, _ in seen}  # a new pool thread each step
+    idents = {ident for ident, _ in seen}  # the calling thread and a pool thread
     assert threading.get_ident() in idents and len(idents) > 1
     assert blas_at_two() == 2
 
