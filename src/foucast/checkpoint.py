@@ -1,10 +1,14 @@
 """Checkpoint serialization: a JSON header line followed by FCT1 tensor blobs.
 
-The header carries the architecture config, training phase, step count, and
-optimizer scalars; the blobs carry every parameter plus the optimizer moment
-vectors in declared order.  Round trips are bit-exact.  Loading against a
-mismatched config, or a file whose header or parameters do not fit its own
-config, is an error naming the offending key or parameter.
+The header carries the architecture config, the step count (the optimizer's,
+or 0 without one), the parameter names and the optimizer scalars; the blobs
+carry every parameter plus the optimizer moment vectors in declared order.
+The training phase and the memory freeze follow from the step, so they are
+not stored; older headers that also carry the phase, the freeze flag and a
+second copy of the step load with those keys ignored.  Round trips are
+bit-exact.
+Loading against a mismatched config, or a file whose header or parameters do
+not fit its own config, is an error naming the offending key or parameter.
 """
 
 from __future__ import annotations
@@ -28,28 +32,22 @@ class CheckpointError(IOError):
     pass
 
 
+# Optimizer scalars stored in the header; the step is stored once, at the top level.
+OPTIMIZER_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
+
+
 def save_checkpoint(
-    path: str | Path,
-    model: NowcastModel,
-    opt: OptimizerState | None = None,
-    step: int = 0,
-    phase: int = 1,
+    path: str | Path, model: NowcastModel, opt: OptimizerState | None = None
 ) -> None:
-    cfg_dict = dataclasses.asdict(model.cfg)
     header = {
         "version": FORMAT_VERSION,
-        "config": cfg_dict,
-        "frozen_memory": model.frozen_memory,
-        "step": step,
-        "phase": phase,
+        "config": dataclasses.asdict(model.cfg),
+        "step": opt.step if opt is not None else 0,
         "param_names": model.params.names(),
         "optimizer": None,
     }
     if opt is not None:
-        header["optimizer"] = {
-            "step": opt.step, "lr": opt.lr, "beta1": opt.beta1,
-            "beta2": opt.beta2, "eps": opt.eps, "weight_decay": opt.weight_decay,
-        }
+        header["optimizer"] = {key: getattr(opt, key) for key in OPTIMIZER_SCALARS}
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
@@ -124,18 +122,15 @@ def load_checkpoint(
             if not np.all(np.isfinite(value)):
                 raise CheckpointError(f"checkpoint parameter {name!r} has non-finite values")
             params.add(name, value)
+        step = int(_header_value(header, "step"))
         opt = None
         scalars = _header_value(header, "optimizer")
         if scalars is not None:
-            state = {key: _header_value(scalars, key, "optimizer")
-                     for key in ("step", "lr", "beta1", "beta2", "eps", "weight_decay")}
+            state = {key: _header_value(scalars, key, "optimizer") for key in OPTIMIZER_SCALARS}
             for key in ("m", "v"):
                 value = state[key] = tensorfile.read_stream(fh)
                 if value.shape != (params.size,) or not np.all(np.isfinite(value)):
                     raise CheckpointError(
                         f"checkpoint optimizer.{key} is not {params.size} finite values")
-            opt = OptimizerState(**{**state, "step": int(state["step"])})
-    frozen = bool(_header_value(header, "frozen_memory"))
-    model = NowcastModel(cfg=cfg, params=params, frozen_memory=frozen)
-    meta = {key: int(_header_value(header, key)) for key in ("step", "phase")}
-    return model, opt, meta
+            opt = OptimizerState(**state, step=step)
+    return NowcastModel(cfg=cfg, params=params), opt, {"step": step}

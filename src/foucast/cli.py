@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import OPTIMIZER_SCALARS, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .evaluate import evaluate_model, write_reports
 from .model import ModelConfig, ModelError, NowcastModel
@@ -48,7 +48,11 @@ def cmd_train(args) -> int:
         model, opt, meta = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
         if opt is None:
             raise CheckpointError(f"{args.checkpoint} has no optimizer state to resume from")
-        state = TrainState(model=model, opt=opt, step=meta["step"])
+        for key in OPTIMIZER_SCALARS:  # a resumed run continues the one that was saved
+            if (saved := getattr(opt, key)) != (want := getattr(tcfg, key)):
+                raise CheckpointError(
+                    f"checkpoint optimizer {key} = {saved!r} does not match the run's {want!r}")
+        state = TrainState(model=model, opt=opt)
         print(f"resuming from step {meta['step']}")
     else:
         model = NowcastModel.initialize(cfg.model, seed=tcfg.seed)
@@ -64,10 +68,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     state = train_model(model, events, tcfg, log_path=out / "train_log.csv", state=state)
     ckpt = out / "model.ckpt"
-    save_checkpoint(
-        ckpt, state.model, state.opt, step=state.step,
-        phase=tcfg.phase_of(max(state.step - 1, 0)),
-    )
+    save_checkpoint(ckpt, state.model, state.opt)
     final = state.history[-1][2] if state.history else float("nan")
     print(f"trained {state.step} steps, final loss {final:.6f}, checkpoint {ckpt}")
     return 0

@@ -7,12 +7,12 @@ unknown keys and malformed values are errors that name the offending key.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .model import ModelConfig
 from .pool import ConfigError
-from .synth import SyntheticEventConfig
+from .synth import SynthError, SyntheticEventConfig
 from .train import TrainConfig
 
 DEFAULT_THRESHOLDS = (16.0, 74.0, 133.0, 160.0, 181.0, 219.0)
@@ -24,15 +24,8 @@ class DataConfig:
     n_events: int = 16
     train_frac: float = 0.8
     seed: int | None = None  # generator seed; falls back to [train] seed
-    n_blobs: int = 3
-    advect: tuple[float, float] = (0.5, 3.0)
-    growth: tuple[float, float] = (-0.05, 0.05)
-    anisotropy: tuple[float, float] = (1.0, 2.5)
-    noise_amp: float = 0.02
-    cov_hw: int = 16
-    turn: tuple[float, float] = (-0.1, 0.1)
-    direction_modes: int = 0
-    size: tuple[float, float] = (0.045, 0.08)
+    # the generator's settings; its seed and grid come from seed and [model]
+    synth: SyntheticEventConfig = field(default_factory=SyntheticEventConfig)
 
 
 @dataclass
@@ -51,14 +44,8 @@ class RunConfig:
     def synth_config(self, seed: int | None = None) -> SyntheticEventConfig:
         if seed is None:
             seed = self.data.seed if self.data.seed is not None else self.train.seed
-        return SyntheticEventConfig(
-            seed=seed, hw=self.model.hw, t_in=self.model.t_in, k_out=self.model.k_out,
-            n_blobs=self.data.n_blobs, advect_range=self.data.advect,
-            growth_range=self.data.growth, anisotropy_range=self.data.anisotropy,
-            noise_amp=self.data.noise_amp, cov_hw=self.data.cov_hw,
-            turn_range=self.data.turn, direction_modes=self.data.direction_modes,
-            size_range=self.data.size,
-        )
+        return replace(self.data.synth, seed=seed, hw=self.model.hw, t_in=self.model.t_in,
+                       k_out=self.model.k_out)
 
     def tag(self) -> str:
         if self.eval.model_tag:
@@ -150,7 +137,10 @@ def _modules(raw: str) -> set[str]:
 
 
 # Config keys that differ from their field names.
-_KEYS = {"lam": "lambda"}
+_KEYS = {
+    "lam": "lambda", "advect_range": "advect", "growth_range": "growth",
+    "anisotropy_range": "anisotropy", "turn_range": "turn", "size_range": "size",
+}
 # Parsers by field annotation (the modules use postponed annotations).
 _PARSER_BY_TYPE = {
     "int": int,
@@ -166,6 +156,7 @@ _PARSER_BY_TYPE = {
 # Fields set through other keys, or not configurable.
 _MODULE_FLAGS = frozenset({"enable_pfm", "enable_fm", "enable_ifa"})  # modules_enabled
 _OPTIMIZER_CONSTANTS = frozenset({"beta1", "beta2", "eps"})
+_SYNTH_FROM_RUN = frozenset({"seed", "hw", "t_in", "k_out"})  # RunConfig.synth_config
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -206,7 +197,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("[train] batch must be >= 1 and lr positive")
 
     d = section("data")
-    data = DataConfig(**d.parse_fields(DataConfig))
+    synth = SyntheticEventConfig(**d.parse_fields(SyntheticEventConfig, skip=_SYNTH_FROM_RUN))
+    data = DataConfig(**d.parse_fields(DataConfig, skip={"synth"}), synth=synth)
     d.leftovers()
     if not 0.0 <= data.train_frac <= 1.0:
         raise ConfigError("[data] train_frac must lie in [0, 1]")
@@ -220,4 +212,9 @@ def load_config(path: str | Path) -> RunConfig:
         if not 0.0 <= th <= 255.0:
             raise ConfigError(f"[eval] thresholds entry {th} outside [0, 255]")
 
-    return RunConfig(model=model, train=train, data=data, eval=ev)
+    run = RunConfig(model=model, train=train, data=data, eval=ev)
+    try:
+        run.synth_config().validate()
+    except SynthError as exc:
+        raise ConfigError(f"[data] {exc}")
+    return run

@@ -402,7 +402,6 @@ def loss_tape(pred: Var, gt_frames: np.ndarray, lam: float) -> Var:
 class NowcastModel:
     cfg: ModelConfig
     params: ParamSet
-    frozen_memory: bool = False
 
     @classmethod
     def initialize(cls, cfg: ModelConfig, seed: int = 0) -> "NowcastModel":

@@ -61,35 +61,41 @@ def write_stream(fh: io.BufferedIOBase, tensor: np.ndarray) -> None:
     fh.write(a.tobytes())  # tobytes emits C order regardless of layout
 
 
-def read_stream(fh: io.BufferedIOBase) -> np.ndarray:
+def _read_header(fh: io.BufferedIOBase) -> tuple[int, tuple[int, ...], int]:
+    """Parse the FCT1 header at the stream position: (dtype code, dims, payload bytes).
+
+    The stream is left at the payload, which must be all there; it is not read.
+    """
     pos = fh.tell()
     end = fh.seek(0, io.SEEK_END)
     fh.seek(pos)
 
+    def have(n: int, what: str) -> None:
+        if end - pos < n:  # checked before reading: dims may claim more bytes than memory holds
+            raise TruncatedError(f"truncated {what}: expected {n} bytes, got {end - pos}", end)
+
     def need(n: int, what: str) -> bytes:
         nonlocal pos
-        buf = fh.read(min(n, end - pos))  # a header may claim more bytes than memory holds
-        if len(buf) != n:
-            raise TruncatedError(
-                f"truncated {what}: expected {n} bytes, got {len(buf)}", pos + len(buf)
-            )
+        have(n, what)
         pos += n
-        return buf
+        return fh.read(n)
 
-    magic_at = pos
     magic = need(4, "magic")
     if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}", magic_at)
-    code_at = pos
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}", pos - 4)
     code = need(1, "dtype code")[0]
     if code not in _CODE_TO_DTYPE:
-        raise DtypeMismatchError(f"unknown dtype code {code}", code_at)
+        raise DtypeMismatchError(f"unknown dtype code {code}", pos - 1)
     rank = need(1, "rank")[0]
-    dims = np.frombuffer(need(4 * rank, "dims"), dtype="<u4")
-    dt = _CODE_TO_DTYPE[code]
-    count = math.prod(int(d) for d in dims)  # Python ints: a u4 product would wrap
-    payload = need(count * dt.itemsize, "payload")
-    return np.frombuffer(payload, dtype=dt).reshape(tuple(int(d) for d in dims)).copy()
+    dims = tuple(int(d) for d in np.frombuffer(need(4 * rank, "dims"), dtype="<u4"))
+    nbytes = math.prod(dims) * _CODE_TO_DTYPE[code].itemsize  # Python ints: no u4 wrap
+    have(nbytes, "payload")
+    return code, dims, nbytes
+
+
+def read_stream(fh: io.BufferedIOBase) -> np.ndarray:
+    code, dims, nbytes = _read_header(fh)
+    return np.frombuffer(fh.read(nbytes), dtype=_CODE_TO_DTYPE[code]).reshape(dims).copy()
 
 
 def write_tensor(path: str | Path, tensor: np.ndarray) -> None:
@@ -103,19 +109,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def validate_header(path: str | Path) -> tuple[int, tuple[int, ...]]:
-    """Cheap header check: returns (dtype code, dims) without the payload."""
+    """Cheap file check: (dtype code, dims), once the payload they claim is known to be there."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}", 0)
-        head = fh.read(2)
-        if len(head) != 2:
-            raise TruncatedError("truncated header", 4)
-        code, rank = head[0], head[1]
-        if code not in _CODE_TO_DTYPE:
-            raise DtypeMismatchError(f"unknown dtype code {code}", 4)
-        raw = fh.read(4 * rank)
-        if len(raw) != 4 * rank:
-            raise TruncatedError("truncated dims", 6)
-        dims = tuple(int(d) for d in np.frombuffer(raw, dtype="<u4"))
-        return code, dims
+        code, dims, _ = _read_header(fh)
+    return code, dims

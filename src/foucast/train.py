@@ -4,8 +4,10 @@ Phase 1 learns to populate the memory bank: slots are ordinary trainable
 parameters queried with ground-truth sequences, renormalized to unit
 magnitude after every optimizer step.  Phase 2 freezes the bank bit-exactly
 and switches the query to the input-sequence path; everything else keeps
-training.  Batch composition depends only on (seed, step), so an interrupted
-run resumed from a checkpoint retraces the original trajectory.
+training.  The optimizer's step count is the run's only counter: the phase,
+and with it the freeze, is ``TrainConfig.phase_of(opt.step)``.  Batch
+composition depends only on (seed, step), so an interrupted run resumed from
+a checkpoint retraces the original trajectory.
 """
 
 from __future__ import annotations
@@ -59,8 +61,12 @@ class PreparedEvent:
 class TrainState:
     model: NowcastModel
     opt: OptimizerState
-    step: int = 0
     history: list[tuple[int, int, float]] = field(default_factory=list)
+
+    @property
+    def step(self) -> int:
+        """Steps taken so far: the optimizer's count."""
+        return self.opt.step
 
 
 def prepare_events(
@@ -101,10 +107,9 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     """
     model = state.model
     cfg = model.cfg
-    phase = tcfg.phase_of(state.step)
-    if phase == 2:
-        model.frozen_memory = True
-    idx = list(batch_indices(tcfg.seed, state.step, len(prepared), tcfg.batch))
+    step = state.step
+    phase = tcfg.phase_of(step)
+    idx = list(batch_indices(tcfg.seed, step, len(prepared), tcfg.batch))
     scale = 1.0 / len(idx)
 
     def forward(i):
@@ -125,20 +130,19 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     samples = fan_out(forward, idx, workers)
     loss_value = float(sum(sample_loss.value for _, sample_loss in samples) * scale)
     if not np.isfinite(loss_value):
-        raise TrainError(f"non-finite loss {loss_value} at step {state.step}")
+        raise TrainError(f"non-finite loss {loss_value} at step {step}")
     per_sample = fan_out(backward, samples, workers)
     grads = per_sample[-1]
     for earlier in reversed(per_sample[:-1]):
         for name, g in grads:
             g += earlier[name]
 
-    frozen = frozenset({"memory.slots"}) if model.frozen_memory else frozenset()
+    frozen = frozenset({"memory.slots"}) if phase == 2 else frozenset()
     model.params, state.opt = adamw_step(model.params, grads, state.opt, frozen=frozen)
-    if not model.frozen_memory:
+    if phase == 1:
         with ad.no_grad():
             model.params["memory.slots"] = ad.cunit(model.params["memory.slots"], EPS_UNIT).value
-    state.history.append((state.step, phase, loss_value))
-    state.step += 1
+    state.history.append((step, phase, loss_value))
     return loss_value
 
 

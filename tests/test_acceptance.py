@@ -525,7 +525,7 @@ def test_criterion_9_serialization(tmp_path):
     model = NowcastModel.initialize(cfg, seed=9)
     state = train_model(model, events, tcfg)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, state.opt, step=state.step, phase=2)
+    save_checkpoint(path, model, state.opt)
     loaded, opt2, meta = load_checkpoint(path)
     seq, cov = events[0]
     bit_identical = loaded.predict(seq, cov).tobytes() == model.predict(seq, cov).tobytes()
@@ -537,10 +537,9 @@ def test_criterion_9_serialization(tmp_path):
     s_part = train_model(m_part, events,
                          TrainConfig(lr=0.002, batch=2, phase1_steps=2, phase2_steps=3, seed=9))
     p2 = tmp_path / "part.ckpt"
-    save_checkpoint(p2, m_part, s_part.opt, step=s_part.step, phase=2)
-    m_res, opt_res, meta2 = load_checkpoint(p2)
-    train_model(m_res, events, tcfg,
-                state=TrainState(model=m_res, opt=opt_res, step=meta2["step"]))
+    save_checkpoint(p2, m_part, s_part.opt)
+    m_res, opt_res, _ = load_checkpoint(p2)
+    train_model(m_res, events, tcfg, state=TrainState(model=m_res, opt=opt_res))
     resume_identical = (
         m_res.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
     )

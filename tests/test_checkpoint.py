@@ -30,14 +30,13 @@ def make_events(cfg, n=3, seed=0):
 def test_round_trip_bit_identical_forward(tmp_path):
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=0)
-    model.frozen_memory = True
     opt = init_state(model.params, lr=0.005)
+    opt.step = 7
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, opt, step=7, phase=2)
+    save_checkpoint(path, model, opt)
 
     loaded, opt2, meta = load_checkpoint(path)
-    assert meta == {"step": 7, "phase": 2}
-    assert loaded.frozen_memory
+    assert meta == {"step": 7}
     assert loaded.cfg == cfg
     assert loaded.params.to_flat().tobytes() == model.params.to_flat().tobytes()
     assert opt2.lr == opt.lr and opt2.step == opt.step
@@ -81,9 +80,8 @@ def rewrite_header(path, edit):
     (lambda h: h["param_names"].reverse(), "where the config expects 'enc1.w'"),
     (lambda h: h["config"].update(mem_channels=8), r"'mem1.w' is \(4, 3, 3, 3\)"),
     (lambda h: h["optimizer"].pop("lr"), "optimizer has no 'lr'"),
-    (lambda h: h["optimizer"].pop("step"), "optimizer has no 'step'"),
 ], ids=["no_config", "no_param_names", "no_step", "config_lacks_key", "older_variant_keys",
-        "param_order", "param_shape", "optimizer_lacks_lr", "optimizer_lacks_step"])
+        "param_order", "param_shape", "optimizer_lacks_lr"])
 def test_header_that_does_not_fit_is_named(tmp_path, edit, message):
     model = NowcastModel.initialize(micro_cfg(), seed=1)
     path = tmp_path / "m.ckpt"
@@ -108,25 +106,43 @@ def test_optimizer_moments_that_do_not_fit_are_named(tmp_path, moment, edit):
         load_checkpoint(path)
 
 
-def test_resume_matches_uninterrupted(tmp_path):
+def resume_from(path, events, tcfg):
+    m_res, opt_res, meta = load_checkpoint(path)
+    assert meta == {"step": opt_res.step}
+    return train_model(m_res, events, tcfg, state=TrainState(model=m_res, opt=opt_res))
+
+
+def interrupted_run(tmp_path):
+    """A 6-step run, and a checkpoint of the same run interrupted after step 5."""
     cfg = micro_cfg()
     events = make_events(cfg)
     tcfg = TrainConfig(lr=0.002, batch=2, phase1_steps=2, phase2_steps=4, seed=7)
-
-    # uninterrupted: all 6 steps
-    m_full = NowcastModel.initialize(cfg, seed=7)
-    s_full = train_model(m_full, events, tcfg)
-
-    # interrupted at step 5, checkpointed, resumed for the final step
+    s_full = train_model(NowcastModel.initialize(cfg, seed=7), events, tcfg)
     m_part = NowcastModel.initialize(cfg, seed=7)
     s_part = train_model(
         m_part, events, TrainConfig(lr=0.002, batch=2, phase1_steps=2, phase2_steps=3, seed=7)
     )
     path = tmp_path / "part.ckpt"
-    save_checkpoint(path, m_part, s_part.opt, step=s_part.step, phase=2)
+    save_checkpoint(path, m_part, s_part.opt)
+    return s_full, path, events, tcfg
 
-    m_res, opt_res, meta = load_checkpoint(path)
-    state = TrainState(model=m_res, opt=opt_res, step=meta["step"])
-    train_model(m_res, events, tcfg, state=state)
 
-    assert m_res.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
+def test_resume_matches_uninterrupted(tmp_path):
+    s_full, path, events, tcfg = interrupted_run(tmp_path)
+    resumed = resume_from(path, events, tcfg)
+    assert resumed.history == s_full.history[5:]
+    assert resumed.model.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
+
+
+def test_older_header_keys_are_ignored(tmp_path):
+    """Headers that stored the step beside a phase and a freeze flag load and resume alike."""
+    s_full, path, events, tcfg = interrupted_run(tmp_path)
+
+    def older_keys(head):
+        head.update(phase=2, frozen_memory=True)
+        head["optimizer"]["step"] = head["step"]
+
+    rewrite_header(path, older_keys)
+    resumed = resume_from(path, events, tcfg)
+    assert resumed.history == s_full.history[5:]
+    assert resumed.model.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -89,6 +90,25 @@ def test_config_steps_split_default(tmp_path):
     assert load_config(ini).train.phase2_steps == RunConfig().train.phase2_steps
     ini.write_text("[train]\nphase2_steps = 7\n")
     assert load_config(ini).train.phase1_steps == RunConfig().train.phase1_steps
+
+
+@pytest.mark.parametrize("key,raw,name,value", [
+    ("n_blobs", "5", "n_blobs", 5),
+    ("advect", "1, 2", "advect_range", (1.0, 2.0)),
+    ("growth", "-0.1, 0.2", "growth_range", (-0.1, 0.2)),
+    ("anisotropy", "1.5, 3", "anisotropy_range", (1.5, 3.0)),
+    ("noise_amp", "0.5", "noise_amp", 0.5),
+    ("cov_hw", "12", "cov_hw", 12),
+    ("turn", "-0.2, 0.3", "turn_range", (-0.2, 0.3)),
+    ("direction_modes", "4", "direction_modes", 4),
+    ("size", "0.05, 0.1", "size_range", (0.05, 0.1)),
+])
+def test_config_data_generator_keys_reach_synth_config(tmp_path, key, raw, name, value):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[data]\n{key} = {raw}\n")
+    scfg = load_config(ini).synth_config()
+    assert getattr(scfg, name) == value
+    assert scfg == dataclasses.replace(RunConfig().synth_config(), **{name: value})
 
 
 def test_config_missing_file():
@@ -304,6 +324,52 @@ def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch
     assert rc == 2
     assert f"manifest {key} = " in capsys.readouterr().err
     assert loaded == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_data_config_fails_before_events_load(tmp_path, monkeypatch, capsys, command):
+    """A [data] generator setting that synth would reject stops train and eval too."""
+    from foucast import cli
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    bad = write_ini(tmp_path / "bad.ini", data_extra="advect = 5, 1")
+    loaded = []
+    monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    rc = main([command, "--config", str(bad), "--manifest", str(data / "manifest.txt"),
+               "--out", str(tmp_path / "run"), *args])
+    assert rc == 2
+    assert "[data] advect" in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "run").exists()
+
+
+def test_resume_with_other_learning_rate_fails_before_work(tmp_path, monkeypatch, capsys):
+    """A resumed run trains at the checkpoint's optimizer settings, so [train] must agree."""
+    from foucast import cli
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+                 "--out", str(run)]) == 0
+    other = tmp_path / "other.ini"
+    other.write_text(ini.read_text().replace("lr = 0.002", "lr = 0.5"))
+    loaded = []
+    monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(other), "--manifest", str(data / "manifest.txt"),
+               "--checkpoint", str(run / "model.ckpt"), "--out", str(tmp_path / "resumed")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "optimizer lr = 0.002" in err and "0.5" in err
+    assert loaded == [] and not (tmp_path / "resumed").exists()
 
 
 @pytest.mark.parametrize("bad_line", [

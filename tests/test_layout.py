@@ -101,6 +101,17 @@ def absolute_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+def test_data_config_does_not_repeat_generator_fields():
+    """[data] generator settings live on SyntheticEventConfig alone; DataConfig holds that."""
+    from dataclasses import fields
+
+    from foucast.config import DataConfig
+    from foucast.synth import SyntheticEventConfig
+
+    shared = {f.name for f in fields(DataConfig)} & {f.name for f in fields(SyntheticEventConfig)}
+    assert shared == {"seed"}, f"fields declared on both: {sorted(shared)}"
+
+
 def test_only_pool_imports_concurrent_futures():
     importers = sorted(p.stem for p in SRC.glob("*.py")
                        if "concurrent" in absolute_imports(ast.parse(p.read_text())))

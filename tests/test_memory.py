@@ -193,11 +193,14 @@ def test_training_phase_flags():
     model = NowcastModel.initialize(cfg, seed=13)
     events = [generate_event(SyntheticEventConfig(seed=13, hw=16, t_in=2, k_out=2,
                                                   n_blobs=1, cov_hw=8))]
+    initial = model.params["memory.slots"].tobytes()
     state = train_model(model, events, TrainConfig(lr=0.01, batch=1, phase1_steps=1,
                                                    phase2_steps=0, seed=13))
-    assert not model.frozen_memory
+    after_phase1 = model.params["memory.slots"].tobytes()
+    assert after_phase1 != initial
     train_model(model, events, tcfg, state=state)
-    assert model.frozen_memory
+    assert model.params["memory.slots"].tobytes() == after_phase1
+    assert state.step == 2
 
 
 def test_renormalized_restores_unit_magnitude():

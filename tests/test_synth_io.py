@@ -268,3 +268,12 @@ def test_manifest_missing_file_rejected(tmp_path):
     (tmp_path / "events/event_0000_covs.fct").unlink()
     with pytest.raises(SynthError, match="missing file"):
         read_manifest(manifest_path)
+
+
+def test_manifest_short_event_file_rejected(tmp_path):
+    """An event file holding less payload than its dims claim stops the manifest read."""
+    manifest_path = synth_dataset(small_cfg(), n_events=1, out_dir=tmp_path)
+    path = tmp_path / "events/event_0000_covs.fct"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(tensorfile.TruncatedError, match="truncated payload"):
+        read_manifest(manifest_path)

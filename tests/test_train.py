@@ -4,7 +4,10 @@ import pytest
 from foucast import autodiff as ad
 from foucast.model import ModelConfig, NowcastModel
 from foucast.synth import SyntheticEventConfig, generate_event
-from foucast.train import TrainConfig, TrainError, train_model
+from foucast.optim import init_state
+from foucast.train import (
+    TrainConfig, TrainError, TrainState, prepare_events, train_model, train_step,
+)
 
 
 def micro_cfg(**kw):
@@ -55,14 +58,15 @@ def test_identical_runs_identical_loss_curves():
 def test_phase1_slots_move_and_stay_unit():
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=2)
-    before = model.params["memory.slots"].copy()
-    events = make_events(cfg)
+    prepared = prepare_events(model, make_events(cfg))
     tcfg = TrainConfig(lr=0.01, batch=2, phase1_steps=6, phase2_steps=0, seed=2)
-    train_model(model, events, tcfg)
-    after = model.params["memory.slots"]
-    assert not np.array_equal(after, before)
-    assert np.max(np.abs(np.abs(after) - 1.0)) < 1e-9
-    assert not model.frozen_memory
+    state = TrainState(model=model, opt=init_state(model.params, lr=tcfg.lr))
+    while state.step < tcfg.total_steps:
+        before = model.params["memory.slots"].tobytes()
+        train_step(state, prepared, tcfg)
+        after = model.params["memory.slots"]
+        assert after.tobytes() != before, f"phase-1 step {state.step - 1} left the bank alone"
+        assert np.max(np.abs(np.abs(after) - 1.0)) < 1e-9
 
 
 def test_phase2_bank_bytes_frozen():
@@ -76,10 +80,10 @@ def test_phase2_bank_bytes_frozen():
     )
     snapshot = model.params["memory.slots"].tobytes()
     state = train_model(model, events, tcfg, state=state)
-    assert model.frozen_memory
     assert model.params["memory.slots"].tobytes() == snapshot
     # other parameters kept training through phase 2
     assert state.step == 15
+    assert [phase for _, phase, _ in state.history] == [1] * 3 + [2] * 12
 
 
 def test_phase1_zero_means_memory_never_updates():
