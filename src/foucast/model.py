@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .params import ParamSet
-from .resample import bilinear_resize, temporal_interp
-from .synth import CADENCE_MINUTES, N_COV_CHANNELS, CovariateGrid, RadarSequence
+from .resample import bilinear_resize, lerp_matrix
+from .synth import CADENCE_MINUTES, MIN_GRID_PX, N_COV_CHANNELS, CovariateGrid, RadarSequence
 
 DOWNSAMPLE = 4  # two stride-2 stages in every encoder
 
@@ -54,6 +54,8 @@ class ModelConfig:
             raise ModelError(
                 f"hw={self.hw} must be {DOWNSAMPLE}x hidden_hw={self.hidden_hw}"
             )
+        if self.hw < MIN_GRID_PX:
+            raise ModelError(f"hw={self.hw} is below the {MIN_GRID_PX} px grid floor")
         if self.c_emb % self.n_blocks:
             raise ModelError(f"c_emb={self.c_emb} not divisible by n_blocks={self.n_blocks}")
         if not 0.0 <= self.lam <= 1.0:
@@ -150,7 +152,7 @@ def regrid(cov: CovariateGrid, target_minutes: np.ndarray, target_hw: tuple[int,
     if cov.fields.shape[0] == 0:
         raise ModelError("empty covariate set")
     spatial = bilinear_resize(cov.fields, target_hw)
-    aligned = temporal_interp(spatial, cov.lead_minutes, np.asarray(target_minutes))
+    aligned = np.tensordot(lerp_matrix(cov.lead_minutes, target_minutes), spatial, axes=1)
     if cov.mean is None or cov.std is None:
         mean = aligned.mean(axis=(0, 2, 3))
         std = np.maximum(aligned.std(axis=(0, 2, 3)), 1e-6)

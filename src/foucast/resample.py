@@ -1,14 +1,38 @@
-"""Bilinear spatial and linear temporal resampling.
+"""Linear resampling as weight matrices.
 
-Spatial interpolation uses endpoint-aligned coordinates, so affine fields are
-reproduced exactly at any target resolution and same-size resampling is the
-identity.  Temporal interpolation clamps outside the source time range.
+``lerp_matrix`` builds the linear-interpolation weights from one increasing
+axis to another, clamped at the ends.  Bilinear spatial resizing applies one
+such matrix per axis; temporal alignment applies one along the time axis.
+Spatial coordinates are endpoint-aligned, so affine fields are reproduced
+exactly at any target resolution and same-size resampling is the identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+
+def lerp_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(len(dst), len(src)) weights that linearly interpolate samples at ``src`` to ``dst``.
+
+    ``src`` must be non-empty and strictly increasing; ``dst`` outside its
+    range takes the nearest end sample.
+    """
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    n = len(src)
+    if n == 0:
+        raise ValueError("empty source axis")
+    if np.any(np.diff(src) <= 0):
+        raise ValueError("source points must be strictly increasing")
+    pos = np.interp(dst, src, np.arange(n, dtype=np.float64))
+    lo = np.minimum(pos.astype(int), max(n - 2, 0))
+    frac = pos - lo
+    rows = np.arange(len(dst))
+    weights = np.zeros((len(dst), n))
+    weights[rows, lo] = 1.0 - frac
+    weights[rows, np.minimum(lo + 1, n - 1)] += frac
+    return weights
 
 
 def bilinear_resize(field: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -18,40 +42,4 @@ def bilinear_resize(field: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     oh, ow = out_hw
     rows = np.linspace(0.0, h - 1.0, oh) if oh > 1 else np.array([(h - 1) / 2.0])
     cols = np.linspace(0.0, w - 1.0, ow) if ow > 1 else np.array([(w - 1) / 2.0])
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    coords = np.stack([rr.ravel(), cc.ravel()])
-    lead = field.shape[:-2]
-    flat = field.reshape(-1, h, w)
-    out = np.empty((flat.shape[0], oh, ow))
-    for i in range(flat.shape[0]):
-        out[i] = ndimage.map_coordinates(
-            flat[i], coords, order=1, mode="nearest"
-        ).reshape(oh, ow)
-    return out.reshape(lead + (oh, ow))
-
-
-def temporal_interp(
-    fields: np.ndarray, src_times: np.ndarray, dst_times: np.ndarray
-) -> np.ndarray:
-    """Linear interpolation along axis 0, clamped at the ends.
-
-    ``fields`` is (N, ...) sampled at strictly increasing ``src_times``.
-    """
-    src_times = np.asarray(src_times, dtype=np.float64)
-    dst_times = np.asarray(dst_times, dtype=np.float64)
-    if len(src_times) == 0:
-        raise ValueError("empty source time axis")
-    if np.any(np.diff(src_times) <= 0):
-        raise ValueError("source times must be strictly increasing")
-    fields = np.asarray(fields, dtype=np.float64)
-    if len(src_times) == 1:
-        return np.repeat(fields[:1], len(dst_times), axis=0)
-    idx = np.searchsorted(src_times, dst_times, side="right")
-    idx = np.clip(idx, 1, len(src_times) - 1)
-    lo = idx - 1
-    t0 = src_times[lo]
-    t1 = src_times[idx]
-    frac = np.clip((dst_times - t0) / (t1 - t0), 0.0, 1.0)
-    shape = (len(dst_times),) + (1,) * (fields.ndim - 1)
-    frac = frac.reshape(shape)
-    return (1.0 - frac) * fields[lo] + frac * fields[idx]
+    return lerp_matrix(np.arange(h), rows) @ field @ lerp_matrix(np.arange(w), cols).T

@@ -23,6 +23,7 @@ VARIABLES = ("geopotential", "humidity", "temperature", "u_wind", "v_wind")
 LEVELS_HPA = (500, 600, 700, 850)
 N_COV_CHANNELS = len(VARIABLES) * len(LEVELS_HPA)
 CADENCE_MINUTES = 10.0
+MIN_GRID_PX = 8  # smallest radar or covariate grid side
 
 
 class SynthError(ValueError):
@@ -68,7 +69,12 @@ class CovariateGrid:
             raise SynthError(
                 f"covariates must be (N, {N_COV_CHANNELS}, H', W'), got {self.fields.shape}"
             )
+        n, shape = self.fields.shape[0], np.shape(self.lead_minutes)
+        if shape != (n,):
+            raise SynthError(f"lead_minutes must have shape ({n},), got {shape}")
         _require_finite(self, ("fields", "lead_minutes"))
+        if np.any(np.diff(self.lead_minutes) <= 0):
+            raise SynthError("lead_minutes must be strictly increasing")
 
 
 @dataclass
@@ -103,8 +109,8 @@ class SyntheticEventConfig:
             raise SynthError("noise_amp must be nonnegative")
         if self.n_blobs < 0:
             raise SynthError("n_blobs must be nonnegative")
-        if min(self.hw, self.cov_hw) < 8:
-            raise SynthError("grids smaller than 8 px are not supported")
+        if min(self.hw, self.cov_hw) < MIN_GRID_PX:
+            raise SynthError(f"grids smaller than {MIN_GRID_PX} px are not supported")
         if self.t_in < 1 or self.k_out < 1:
             raise SynthError("need at least one input and one output frame")
 

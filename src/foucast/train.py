@@ -167,10 +167,9 @@ def train_model(
     log_fh = None
     writer = None
     if log_path is not None:
-        fresh = state.step == 0
         log_fh = open(log_path, "a", newline="")
         writer = csv.writer(log_fh)
-        if fresh:
+        if log_fh.tell() == 0:  # a new or empty log, whatever step the run starts at
             writer.writerow(["step", "phase", "loss"])
     try:
         while state.step < tcfg.total_steps:

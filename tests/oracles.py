@@ -1,14 +1,35 @@
-"""Independent numpy references for the fusion operators and the objective.
+"""Independent numpy references for the fusion operators, the objective and
+the bilinear resize.
 
 The library runs each operator once, as a tape function in ``foucast.model``.
 These plain-array versions are written without the tape so tests can check
 the tape functions against separately stated math.  The 2-D SSIM window is
 kept here too: the library applies it separably.  Transforms here call
 ``np.fft`` directly, so a wrong Hermitian expansion in the library does not
-cancel out.
+cancel out.  The resize reference samples each 2-D slice with
+``scipy.ndimage.map_coordinates``, where the library builds weight matrices.
 """
 
 import numpy as np
+from scipy import ndimage
+
+
+def map_coordinates_resize(field, out_hw):
+    """Bilinear resize of the trailing two axes, one ``map_coordinates`` call per slice.
+
+    Endpoint-aligned coordinates; a 1-pixel output axis samples the centre.
+    """
+    field = np.asarray(field, dtype=np.float64)
+    h, w = field.shape[-2], field.shape[-1]
+    oh, ow = out_hw
+    rows = np.linspace(0.0, h - 1.0, oh) if oh > 1 else np.array([(h - 1) / 2.0])
+    cols = np.linspace(0.0, w - 1.0, ow) if ow > 1 else np.array([(w - 1) / 2.0])
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    coords = np.stack([rr.ravel(), cc.ravel()])
+    flat = field.reshape(-1, h, w)
+    out = np.stack([ndimage.map_coordinates(f, coords, order=1, mode="nearest")
+                    for f in flat])
+    return out.reshape(field.shape[:-2] + (oh, ow))
 
 
 def naive_dft2(x):

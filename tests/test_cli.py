@@ -83,6 +83,14 @@ def test_config_bad_value_named(tmp_path):
         load_config(ini)
 
 
+def test_config_grid_floor_is_a_model_error(tmp_path):
+    """A model grid under the data generator's floor is reported against [model]."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace("hw = 16\nhidden_hw = 4", "hw = 4\nhidden_hw = 1"))
+    with pytest.raises(ConfigError, match=r"^\[model\] hw=4 is below the 8 px grid floor"):
+        load_config(ini)
+
+
 def test_config_steps_split_default(tmp_path):
     """Each phase's step count falls back to its own default when not given."""
     ini = tmp_path / "c.ini"
@@ -197,6 +205,26 @@ def test_train_determinism_same_seed(tmp_path):
     l1 = (tmp_path / "r1/train_log.csv").read_text()
     l2 = (tmp_path / "r2/train_log.csv").read_text()
     assert l1 == l2
+
+
+def test_resumed_train_log_has_one_header(tmp_path):
+    """A resume writes the header into a new log and only appends to an existing one."""
+    ini = write_ini(tmp_path / "c.ini", p1=2, p2=1)
+    longer = write_ini(tmp_path / "longer.ini", p1=2, p2=3)
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+                 "--out", str(run)]) == 0
+    for out in (tmp_path / "resumed", run):
+        assert main(["train", "--config", str(longer), "--manifest", str(data / "manifest.txt"),
+                     "--checkpoint", str(run / "model.ckpt"), "--out", str(out)]) == 0
+    resumed = (tmp_path / "resumed/train_log.csv").read_text().splitlines()
+    assert resumed[0] == "step,phase,loss"
+    assert [line[:4] for line in resumed[1:]] == ["3,2,", "4,2,"]
+    original = (run / "train_log.csv").read_text().splitlines()
+    assert original.count("step,phase,loss") == 1 and original[0] == "step,phase,loss"
+    assert len(original) == 1 + 3 + 2
 
 
 def test_ablation_variants_emit_tagged_rows(tmp_path):
@@ -421,6 +449,33 @@ def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
                "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "frames contains non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda leads: leads[::-1].copy(), "lead_minutes must be strictly increasing"),
+    (lambda leads: leads[:-1].copy(), "lead_minutes must have shape (2,), got (1,)"),
+], ids=["reversed", "one_short"])
+def test_eval_bad_covariate_leads_fail_at_load(tmp_path, capsys, fault, message):
+    """A leads file out of order or one entry short stops eval when the event loads."""
+    from foucast import tensorfile
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+    from foucast.synth import read_manifest
+
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace("k_out = 2", "k_out = 4"))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    path = read_manifest(data / "manifest.txt").split("test")[0].leads_path
+    tensorfile.write_tensor(path, fault(tensorfile.read_tensor(path)))
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
+               "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

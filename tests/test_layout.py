@@ -4,7 +4,8 @@ and one module fans work out over threads.
 A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
 ``UNUSED_ALLOWED`` are the only exceptions.  ``pool.fan_out`` is the one
-fan-out, so only ``pool.py`` imports ``concurrent.futures``.
+fan-out, so only ``pool.py`` imports ``concurrent.futures``.  Resampling is
+numpy weight matrices, so scipy stays in ``synth.py`` (its Gaussian blur).
 """
 
 import ast
@@ -116,3 +117,9 @@ def test_only_pool_imports_concurrent_futures():
     importers = sorted(p.stem for p in SRC.glob("*.py")
                        if "concurrent" in absolute_imports(ast.parse(p.read_text())))
     assert importers == ["pool"], f"modules importing concurrent.futures: {importers}"
+
+
+def test_only_synth_imports_scipy():
+    importers = sorted(p.stem for p in SRC.glob("*.py")
+                       if "scipy" in absolute_imports(ast.parse(p.read_text())))
+    assert importers == ["synth"], f"modules importing scipy: {importers}"

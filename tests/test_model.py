@@ -16,7 +16,7 @@ from foucast.model import (
     mem_encode_tape,
     regrid,
 )
-from foucast.resample import bilinear_resize, temporal_interp
+from foucast.resample import bilinear_resize, lerp_matrix
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
 from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition, unit_normalize
 
@@ -41,7 +41,7 @@ def test_regrid_identity_before_normalization():
     rng = np.random.default_rng(0)
     fields = rng.standard_normal((4, N_COV_CHANNELS, 8, 8))
     minutes = np.array([10.0, 20.0, 30.0, 40.0])
-    out = temporal_interp(bilinear_resize(fields, (8, 8)), minutes, minutes)
+    out = np.tensordot(lerp_matrix(minutes, minutes), bilinear_resize(fields, (8, 8)), axes=1)
     assert np.allclose(out, fields, atol=1e-12)
 
 
@@ -51,8 +51,8 @@ def test_regrid_ramp_and_midpoint():
     fields = np.zeros((2, N_COV_CHANNELS, 8, 8))
     fields[0] = ramp
     fields[1] = ramp + 10.0
-    out = temporal_interp(bilinear_resize(fields, (15, 15)), np.array([10.0, 30.0]),
-                          np.array([20.0]))
+    out = np.tensordot(lerp_matrix([10.0, 30.0], [20.0]), bilinear_resize(fields, (15, 15)),
+                       axes=1)
     oy, ox = np.mgrid[0:15, 0:15].astype(float)
     want = 3.0 * (ox * 7 / 14) - 1.0 * (oy * 7 / 14) + 5.0
     assert np.max(np.abs(out[0, 0] - want)) < 1e-10

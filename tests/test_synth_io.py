@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foucast import tensorfile
-from foucast.resample import bilinear_resize, temporal_interp
+from foucast.resample import bilinear_resize, lerp_matrix
 from foucast.synth import (
     N_COV_CHANNELS,
     SynthError,
@@ -14,6 +14,7 @@ from foucast.synth import (
     read_manifest,
     synth_dataset,
 )
+from oracles import map_coordinates_resize
 
 
 # --- tensor files -----------------------------------------------------------
@@ -118,16 +119,53 @@ def test_bilinear_reproduces_affine_ramp():
     assert np.max(np.abs(out - want)) < 1e-10
 
 
-def test_temporal_midpoint_is_average():
+@pytest.mark.parametrize("in_shape,out_hw", [
+    ((9, 13), (17, 33)),          # upsampling
+    ((16, 16), (5, 7)),           # downsampling
+    ((8, 8), (8, 8)),             # same size
+    ((6, 10), (1, 1)),            # 1-pixel output: the centre
+    ((1, 1), (4, 6)),             # 1-pixel input
+    ((3, 2, 12, 9), (4, 15)),     # leading dims
+])
+def test_bilinear_matches_map_coordinates(in_shape, out_hw):
+    field = np.random.default_rng(7).standard_normal(in_shape)
+    out = bilinear_resize(field, out_hw)
+    assert out.shape == in_shape[:-2] + out_hw
+    assert np.max(np.abs(out - map_coordinates_resize(field, out_hw))) < 1e-12
+
+
+def test_lerp_rows_are_convex_with_at_most_two_weights():
+    src = np.array([0.0, 1.0, 2.5, 6.0, 7.0])
+    m = lerp_matrix(src, np.linspace(-3.0, 10.0, 41))
+    assert m.shape == (41, 5)
+    assert np.allclose(m.sum(axis=1), 1.0, atol=1e-15) and np.all(m >= 0.0)
+    assert np.all(np.count_nonzero(m, axis=1) <= 2)
+
+
+def test_lerp_midpoint_is_average():
     fields = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
-    out = temporal_interp(fields, np.array([0.0, 10.0]), np.array([5.0]))
+    out = np.tensordot(lerp_matrix([0.0, 10.0], [5.0]), fields, axes=1)
     assert np.allclose(out[0], 0.5)
 
 
-def test_temporal_clamps_at_ends():
+def test_lerp_clamps_at_ends():
     fields = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
-    out = temporal_interp(fields, np.array([0.0, 10.0]), np.array([-5.0, 25.0]))
+    out = np.tensordot(lerp_matrix([0.0, 10.0], [-5.0, 25.0]), fields, axes=1)
     assert np.allclose(out[0], 0.0) and np.allclose(out[1], 1.0)
+
+
+def test_lerp_single_source_point_repeats_it():
+    assert np.array_equal(lerp_matrix([30.0], [-1.0, 30.0, 99.0]), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("src,match", [
+    ([], "empty"),
+    ([0.0, 10.0, 10.0], "strictly increasing"),
+    ([20.0, 10.0], "strictly increasing"),
+])
+def test_lerp_rejects_bad_source(src, match):
+    with pytest.raises(ValueError, match=match):
+        lerp_matrix(src, [5.0])
 
 
 # --- event generation -------------------------------------------------------
@@ -205,6 +243,21 @@ def test_non_finite_event_values_rejected():
     with pytest.raises(SynthError, match="lead_minutes contains non-finite"):
         CovariateGrid(fields=np.zeros((2, N_COV_CHANNELS, 8, 8)),
                       lead_minutes=np.array([10.0, np.nan]))
+
+
+@pytest.mark.parametrize("leads,match", [
+    ([10.0], r"lead_minutes must have shape \(2,\), got \(1,\)"),
+    ([10.0, 20.0, 30.0], r"lead_minutes must have shape \(2,\)"),
+    ([[10.0, 20.0]], r"lead_minutes must have shape \(2,\)"),
+    ([30.0, 10.0], "lead_minutes must be strictly increasing"),
+    ([10.0, 10.0], "lead_minutes must be strictly increasing"),
+])
+def test_covariate_leads_match_fields_and_increase(leads, match):
+    """regrid interpolates over the leads, so one per field, in order, is checked at load."""
+    from foucast.synth import CovariateGrid
+
+    with pytest.raises(SynthError, match=match):
+        CovariateGrid(fields=np.zeros((2, N_COV_CHANNELS, 8, 8)), lead_minutes=np.array(leads))
 
 
 def phase_alignment_stat(seq, cov, rng=None):
