@@ -200,22 +200,15 @@ def relu(x) -> Var:
     return Var(out, (x,), vjp, op="relu")
 
 
-def sin(x) -> Var:
-    x = as_var(x)
+def cis(theta) -> Var:
+    """Unit phasor e^{i theta} of a real angle."""
+    theta = as_var(theta)
+    c, s = np.cos(theta.value), np.sin(theta.value)
 
     def vjp(g):
-        return (g * np.cos(x.value),)
+        return (g.imag * c - g.real * s,)
 
-    return Var(np.sin(x.value), (x,), vjp, op="sin")
-
-
-def cos(x) -> Var:
-    x = as_var(x)
-
-    def vjp(g):
-        return (-g * np.sin(x.value),)
-
-    return Var(np.cos(x.value), (x,), vjp, op="cos")
+    return Var(c + 1j * s, (theta,), vjp, op="cis")
 
 
 def sigmoid(x) -> Var:
@@ -307,16 +300,6 @@ def matmul(a, b) -> Var:
 # complex structure ops
 
 _GUARD = 1e-12  # adjoints of |z|, arg(z), z/|z| vanish below this magnitude
-
-
-def make_complex(re, im) -> Var:
-    re, im = as_var(re), as_var(im)
-    out = re.value + 1j * im.value
-
-    def vjp(g):
-        return _unbroadcast(g.real, re.value.shape), _unbroadcast(g.imag, im.value.shape)
-
-    return Var(out, (re, im), vjp, op="make_complex")
 
 
 def creal(z) -> Var:

@@ -44,6 +44,7 @@ def cmd_train(args) -> int:
     tcfg = cfg.train
     if args.seed is not None:
         tcfg = dataclasses.replace(tcfg, seed=args.seed)
+        tcfg.validate()
     if args.checkpoint:
         model, opt, meta = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
         if opt is None:

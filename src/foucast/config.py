@@ -13,7 +13,7 @@ from pathlib import Path
 from .model import ModelConfig
 from .pool import ConfigError
 from .synth import SynthError, SyntheticEventConfig
-from .train import TrainConfig
+from .train import TrainConfig, TrainError
 
 DEFAULT_THRESHOLDS = (16.0, 74.0, 133.0, 160.0, 181.0, 219.0)
 
@@ -193,8 +193,10 @@ def load_config(path: str | Path) -> RunConfig:
     t = section("train")
     train = TrainConfig(**t.parse_fields(TrainConfig, skip=_OPTIMIZER_CONSTANTS))
     t.leftovers()
-    if train.batch < 1 or train.lr <= 0:
-        raise ConfigError("[train] batch must be >= 1 and lr positive")
+    try:
+        train.validate()
+    except TrainError as exc:
+        raise ConfigError(f"[train] {exc}")
 
     d = section("data")
     synth = SyntheticEventConfig(**d.parse_fields(SyntheticEventConfig, skip=_SYNTH_FROM_RUN))

@@ -30,20 +30,18 @@ class _SampleStats:
     lead_sq: np.ndarray
     lead_abs: np.ndarray
     lead_ssim: np.ndarray
-    lead_pix: np.ndarray
 
 
 def _score_sample(pred: np.ndarray, target: np.ndarray, thresholds) -> _SampleStats:
     k = pred.shape[0]
     stats = _SampleStats(lead_counts=[], lead_sq=np.zeros(k), lead_abs=np.zeros(k),
-                         lead_ssim=np.zeros(k), lead_pix=np.zeros(k))
+                         lead_ssim=np.zeros(k))
     for j in range(k):
         p, g = pred[j, 0], target[j, 0]
         stats.lead_counts.append({t: metrics.contingency(p, g, t) for t in thresholds})
         d = metrics.PIXEL_SCALE * (p - g)
         stats.lead_sq[j] = float(np.sum(d * d))
         stats.lead_abs[j] = float(np.sum(np.abs(d)))
-        stats.lead_pix[j] = d.size
         stats.lead_ssim[j] = metrics.ssim(p[None], g[None])
     return stats
 
@@ -86,27 +84,26 @@ def evaluate_model(
     lead_sq = sum(s.lead_sq for s in stats)
     lead_ab = sum(s.lead_abs for s in stats)
     lead_ssim = sum(s.lead_ssim for s in stats)
-    lead_pix = sum(s.lead_pix for s in stats)
     total = {t: sum((lead[t] for lead in lead_total), ContingencyCounts()) for t in thresholds}
-    pix = lead_pix.sum()
+    lead_pix = len(stats) * cfg.hw * cfg.hw  # every prediction is (k, 1, hw, hw)
 
     report = EvalReport(tag=tag, thresholds=list(thresholds))
     report.csi = {t: metrics.csi(total[t]) for t in thresholds}
     report.hss = {t: metrics.hss(total[t]) for t in thresholds}
     report.csi_avg = metrics.average_over_thresholds(report.csi)
     report.hss_avg = metrics.average_over_thresholds(report.hss)
-    report.mse = float(lead_sq.sum() / pix)
-    report.mae = float(lead_ab.sum() / pix)
+    report.mse = float(lead_sq.sum() / (k * lead_pix))
+    report.mae = float(lead_ab.sum() / (k * lead_pix))
     report.psnr = metrics.psnr(report.mse)
     report.ssim = float(lead_ssim.sum() / (k * len(stats)))
     for j in range(k):
-        m = lead_sq[j] / lead_pix[j]
+        m = lead_sq[j] / lead_pix
         report.lead_rows.append({
             "lead": (j + 1) * CADENCE_MINUTES,
             "csi": float(np.mean([metrics.csi(lead_total[j][t]) for t in thresholds])),
             "hss": float(np.mean([metrics.hss(lead_total[j][t]) for t in thresholds])),
             "mse": m,
-            "mae": lead_ab[j] / lead_pix[j],
+            "mae": lead_ab[j] / lead_pix,
             "psnr": metrics.psnr(m),
             "ssim": lead_ssim[j] / len(stats),
         })

@@ -11,7 +11,7 @@ block-diagonal spectral MLP}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,11 @@ class ModelConfig:
     mem_channels: int = 16
 
     def validate(self) -> None:
+        counts = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
+        counts.update((f"enc_channels[{i}]", c) for i, c in enumerate(self.enc_channels))
+        for name, value in counts.items():
+            if value < 1:
+                raise ModelError(f"{name} = {value} must be >= 1")
         if self.hw != DOWNSAMPLE * self.hidden_hw:
             raise ModelError(
                 f"hw={self.hw} must be {DOWNSAMPLE}x hidden_hw={self.hidden_hw}"
@@ -60,9 +65,6 @@ class ModelConfig:
             raise ModelError(f"c_emb={self.c_emb} not divisible by n_blocks={self.n_blocks}")
         if not 0.0 <= self.lam <= 1.0:
             raise ModelError(f"lambda must lie in [0, 1], got {self.lam}")
-        for name in ("t_in", "k_out", "hidden_hw", "c_emb", "depth_l", "memory_slots"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
 
     @property
     def wf(self) -> int:
@@ -279,8 +281,7 @@ def phase_align_tape(f_hid: Var, f_match: Var) -> Var:
     sim = ad.creal(ad.mul(unit_hid, ad.conj(f_match)))
     w_phase = ad.mul(ad.sub(1.0, sim), 0.5)
     dphi = ad.carg(ad.mul(f_match, ad.conj(unit_hid)))
-    theta = ad.mul(w_phase, dphi)
-    rot = ad.make_complex(ad.cos(theta), ad.sin(theta))
+    rot = ad.cis(ad.mul(w_phase, dphi))
     passthrough = np.abs(f_match.value) < EPS_FUSE
     return ad.where(passthrough, f_hid, ad.mul(f_hid, rot))
 

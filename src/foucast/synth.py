@@ -23,6 +23,7 @@ VARIABLES = ("geopotential", "humidity", "temperature", "u_wind", "v_wind")
 LEVELS_HPA = (500, 600, 700, 850)
 N_COV_CHANNELS = len(VARIABLES) * len(LEVELS_HPA)
 CADENCE_MINUTES = 10.0
+MANIFEST_VERSION = "1"
 MIN_GRID_PX = 8  # smallest radar or covariate grid side
 
 
@@ -39,22 +40,14 @@ def _require_finite(obj, names: tuple[str, ...]) -> None:
 
 @dataclass
 class RadarSequence:
-    frames: np.ndarray   # (n, 1, H, W) in [0, 1]
-    minutes: np.ndarray  # (n,) relative to forecast issue at t=0
+    frames: np.ndarray  # (n, 1, H, W) in [0, 1], every CADENCE_MINUTES
 
     def __post_init__(self):
         if self.frames.ndim != 4 or self.frames.shape[1] != 1:
             raise SynthError(f"frames must be (n, 1, H, W), got {self.frames.shape}")
-        _require_finite(self, ("frames", "minutes"))
+        _require_finite(self, ("frames",))
         if np.min(self.frames) < 0.0 or np.max(self.frames) > 1.0:
             raise SynthError("frame values must lie in [0, 1]")
-        if len(self.minutes) != len(self.frames):
-            raise SynthError("timestamp count must match frame count")
-        steps = np.diff(self.minutes)
-        if np.any(steps <= 0):
-            raise SynthError("timestamps must be strictly increasing")
-        if len(steps) > 1 and np.max(np.abs(steps - steps[0])) > 1e-9:
-            raise SynthError("timestamps must have uniform cadence")
 
 
 @dataclass
@@ -94,6 +87,8 @@ class SyntheticEventConfig:
     size_range: tuple[float, float] = (0.045, 0.08)    # blob minor axis, fraction of hw
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise SynthError(f"seed = {self.seed} must be nonnegative")
         for name in ("advect_range", "growth_range", "anisotropy_range", "turn_range",
                      "size_range"):
             lo, hi = getattr(self, name)
@@ -168,14 +163,15 @@ def generate_event(cfg: SyntheticEventConfig) -> tuple[RadarSequence, CovariateG
         frames[t] = acc
     frames = np.clip(frames + noise, 0.0, 1.0)
 
-    minutes = (np.arange(n) - (cfg.t_in - 1)) * CADENCE_MINUTES
-    seq = RadarSequence(frames=frames[:, None], minutes=minutes)
-    cov = _make_covariates(cfg, rng, frames, minutes, cx, cy, vx, vy, amps)
-    return seq, cov
+    cov = _make_covariates(cfg, rng, frames, cx, cy, vx, vy, amps)
+    return RadarSequence(frames=frames[:, None]), cov
 
 
-def _make_covariates(cfg, rng, frames, minutes, cx, cy, vx, vy, amps) -> CovariateGrid:
-    """Forecast-like fields at every other future frame, on the coarse grid."""
+def _make_covariates(cfg, rng, frames, cx, cy, vx, vy, amps) -> CovariateGrid:
+    """Forecast-like fields at every other future frame, on the coarse grid.
+
+    Lead minutes count from the forecast issue time, the last input frame.
+    """
     lead_idx = np.arange(cfg.t_in, cfg.t_in + cfg.k_out, 2)
     scale = cfg.cov_hw / cfg.hw
     ys, xs = np.mgrid[0 : cfg.cov_hw, 0 : cfg.cov_hw].astype(np.float64)
@@ -204,7 +200,7 @@ def _make_covariates(cfg, rng, frames, minutes, cx, cy, vx, vy, amps) -> Covaria
             fields[i, ch + 4 * len(LEVELS_HPA)] = ndimage.gaussian_filter(v_field, blur)
             ch += 1
     fields += 0.02 * rng.standard_normal(fields.shape)
-    return CovariateGrid(fields=fields, lead_minutes=minutes[lead_idx].copy())
+    return CovariateGrid(fields=fields, lead_minutes=(lead_idx - (cfg.t_in - 1)) * CADENCE_MINUTES)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +264,7 @@ def synth_dataset(
     manifest_path = out_dir / "manifest.txt"
     with open(manifest_path, "w") as fh:
         fh.write("# foucast dataset manifest\n")
-        fh.write("version = 1\n")
+        fh.write(f"version = {MANIFEST_VERSION}\n")
         fh.write(f"cadence_minutes = {CADENCE_MINUTES}\n")
         fh.write(f"t_in = {base.t_in}\n")
         fh.write(f"k_out = {base.k_out}\n")
@@ -309,13 +305,19 @@ def read_manifest(path: str | Path) -> Manifest:
                     for p in (entry.frames_path, entry.covs_path, entry.leads_path):
                         if not p.exists():
                             raise SynthError(f"manifest references missing file {p}")
-                        tensorfile.validate_header(p)
+                        try:
+                            tensorfile.validate_header(p)
+                        except tensorfile.TensorFileError as exc:
+                            raise type(exc)(f"{path} line {lineno}: {p}: {exc.message}",
+                                            exc.byte_offset) from None
                     entries.append(entry)
                 elif "=" in line:
                     key, _, value = line.partition("=")
                     meta[key.strip()] = value.strip()
             except ValueError as exc:
                 raise SynthError(f"{path} line {lineno}: {exc}") from None
+    if (version := meta.get("version")) != MANIFEST_VERSION:
+        raise SynthError(f"{path}: manifest version {version} is not {MANIFEST_VERSION}")
     return Manifest(path=path, meta=meta, entries=entries, cov_mean=cov_mean, cov_std=cov_std)
 
 
@@ -323,11 +325,12 @@ def load_event(entry: ManifestEntry, manifest: Manifest) -> tuple[RadarSequence,
     frames = tensorfile.read_tensor(entry.frames_path).astype(np.float64)
     covs = tensorfile.read_tensor(entry.covs_path).astype(np.float64)
     leads = tensorfile.read_tensor(entry.leads_path).astype(np.float64)
-    t_in = int(manifest.meta.get("t_in", 5))
-    cadence = float(manifest.meta.get("cadence_minutes", CADENCE_MINUTES))
-    minutes = (np.arange(frames.shape[0]) - (t_in - 1)) * cadence
-    seq = RadarSequence(frames=frames, minutes=minutes)
+    t_in, k_out, hw = (int(manifest.meta[k]) for k in ("t_in", "k_out", "hw"))
+    want = (t_in + k_out, 1, hw, hw)
+    if frames.shape != want:
+        raise SynthError(f"{entry.frames_path}: frames {frames.shape} do not match the "
+                         f"manifest's (t_in + k_out, 1, hw, hw) = {want}")
     cov = CovariateGrid(
         fields=covs, lead_minutes=leads, mean=manifest.cov_mean, std=manifest.cov_std
     )
-    return seq, cov
+    return RadarSequence(frames=frames), cov

@@ -23,7 +23,7 @@ _KIND_TO_CODE = {"f4": 0, "f8": 1, "c16": 2}
 class TensorFileError(IOError):
     def __init__(self, message: str, byte_offset: int):
         super().__init__(f"{message} (at byte {byte_offset})")
-        self.byte_offset = byte_offset
+        self.message, self.byte_offset = message, byte_offset
 
 
 class BadMagicError(TensorFileError):

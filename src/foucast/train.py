@@ -13,7 +13,7 @@ a checkpoint retraces the original trajectory.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,13 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if not (value := getattr(self, f.name)) >= 0:  # NaN fails as well
+                raise TrainError(f"{f.name} = {value} must be nonnegative")
+        if self.batch < 1 or self.lr <= 0:
+            raise TrainError("batch must be >= 1 and lr positive")
 
     @property
     def total_steps(self) -> int:

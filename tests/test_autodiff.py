@@ -63,7 +63,7 @@ def test_backward_deterministic():
 
     def run():
         x = Var(a)
-        loss = total(ad.mul(ad.softmax(x), ad.sin(x)))
+        loss = total(ad.mul(ad.softmax(x), ad.sigmoid(x)))
         backward(loss)
         return x.grad.copy()
 
@@ -96,15 +96,24 @@ def test_fd_elementwise_real():
 
 
 def test_fd_trig_sigmoid():
+    """The phasor cis(x) receives a complex cotangent, so both of its parts are checked."""
     rng = np.random.default_rng(2)
     theta = ParamSet({"x": rng.standard_normal((2, 5))})
+    probe = cplx(rng, 2, 5)
 
     def f(p):
-        t = ad.add(ad.sin(p["x"]), ad.cos(ad.mul(p["x"], 0.5)))
+        t = ad.creal(ad.mul(ad.cis(ad.mul(p["x"], 1.5)), probe))
         t = ad.add(t, ad.sigmoid(p["x"]))
         return ad.mean(ad.mul(t, t))
 
     fd_ok(f, theta)
+
+
+def test_cis_is_the_unit_phasor():
+    x = np.linspace(-7.0, 7.0, 29)
+    with no_grad():
+        z = ad.cis(x).value
+    np.testing.assert_allclose(z, np.exp(1j * x), rtol=0, atol=1e-15)
 
 
 def test_sigmoid_values_match_expit():
@@ -187,7 +196,7 @@ def test_fd_complex_structure_ops():
         u = ad.cunit(p["z"])
         c = total(ad.creal(ad.mul(u, np.conj(probe))))
         # Re(-1j * (a + ib)) = b: the imaginary input's gradient path through creal
-        d = total(ad.creal(ad.mul(ad.make_complex(ad.creal(p["z"]), ad.cabs(p["w"])), -1j)))
+        d = total(ad.creal(ad.mul(ad.mul(p["z"], ad.cabs(p["w"])), -1j)))
         return ad.add(ad.add(a, b), ad.add(c, d))
 
     fd_ok(f, theta)

@@ -91,6 +91,53 @@ def test_config_grid_floor_is_a_model_error(tmp_path):
         load_config(ini)
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("n_blocks = 2", "n_blocks = 0", "n_blocks = 0"),  # validate divides c_emb by it
+    ("n_blocks = 2", "n_blocks = -2", "n_blocks = -2"),
+    ("mem_channels = 4", "mem_channels = 0", "mem_channels = 0"),
+    ("enc_channels = 4, 4, 4", "enc_channels = 4, 0, 4", "enc_channels[1] = 0"),
+])
+def test_config_model_counts_must_be_positive(tmp_path, capsys, old, new, key):
+    """Every [model] count fails at load, naming its key, before init_params can see it."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(f"[model] {key} must be >= 1")):
+        load_config(ini)
+    assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "d")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,old,new,key", [
+    ("train", "seed = 0", "seed = -1", "seed = -1"),
+    ("train", "phase1_steps = 2", "phase1_steps = -3", "phase1_steps = -3"),
+    ("train", "seed = 0", "seed = 0\nweight_decay = -0.01", "weight_decay = -0.01"),
+    ("train", "lr = 0.002", "lr = nan", "lr = nan"),
+    ("data", "n_blobs = 2", "n_blobs = 2\nseed = -3", "seed = -3"),
+])
+def test_config_negative_seeds_and_steps_rejected(tmp_path, capsys, section, old, new, key):
+    """A negative seed, step count or weight decay, or a NaN rate, fails at load, not mid-run."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be nonnegative")):
+        load_config(ini)
+    assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "d")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_argument_rejected(tmp_path, capsys, command):
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    capsys.readouterr()
+    args = ["--manifest", str(data / "manifest.txt")] if command == "train" else []
+    rc = main([command, "--config", str(ini), "--out", str(tmp_path / "run"), "--seed", "-1",
+               *args])
+    assert rc == 2
+    assert "seed = -1 must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 def test_config_steps_split_default(tmp_path):
     """Each phase's step count falls back to its own default when not given."""
     ini = tmp_path / "c.ini"
@@ -449,6 +496,54 @@ def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
                "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "frames contains non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_short_frames_file_fails_at_load(tmp_path, capsys, command):
+    """Frames one short of t_in + k_out stop train and eval at load, naming the file."""
+    from foucast import tensorfile
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+    from foucast.synth import read_manifest
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    split = "test" if command == "eval" else "train"
+    path = read_manifest(data / "manifest.txt").split(split)[0].frames_path
+    tensorfile.write_tensor(path, tensorfile.read_tensor(path)[:-1])
+    capsys.readouterr()
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    rc = main([command, "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+               "--out", str(tmp_path / "run"), *args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "(3, 1, 16, 16) do not match" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_truncated_event_file_names_manifest_line_and_file(tmp_path, capsys):
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    path = data / "events/event_0003_covs.fct"
+    path.write_bytes(path.read_bytes()[:-10])
+    lineno = next(i for i, line in enumerate((data / "manifest.txt").read_text().splitlines(), 1)
+                  if "event_0003" in line)
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
+               "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"manifest.txt line {lineno}: {path}: truncated payload" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,5 +1,5 @@
-"""Every library module and every public library name is used by the library,
-and one module fans work out over threads.
+"""Every library module, public library name and dataclass field is used by the
+library, and one module fans work out over threads.
 
 A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
@@ -89,6 +89,49 @@ def test_every_public_name_is_used_by_the_library():
               and not node.name.startswith("_")}
     unused = sorted(f"{m}.{n}" for m, n in public - used - UNUSED_ALLOWED)
     assert not unused, f"public names no src module uses: {unused}"
+
+
+def dataclass_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, field) for every field declared by a ``@dataclass`` class in ``tree``."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found.update((node.name, stmt.target.id) for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+    return found
+
+
+def attribute_reads(tree: ast.Module) -> set[tuple[str, str | None, str | None]]:
+    """(attribute, enclosing class, enclosing method) for every attribute load in ``tree``."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+        for member in stmt.body if owner else [stmt]:
+            method = member.name if owner and isinstance(member, ast.FunctionDef) else None
+            found.update((node.attr, owner, method) for node in ast.walk(member)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return found
+
+
+# Fields that only a reader outside src/ or a planned reader needs, each with that reader.
+UNREAD_FIELDS_ALLOWED = {
+    ("Manifest", "path"),  # perfbench/workloads.py puts its checkpoint and reports beside it
+    ("ForwardTrace", "query_source"),  # ROADMAP item 1: training observability
+    ("ForwardTrace", "alpha"),  # ROADMAP item 1: memory-attention entropy and slot usage
+}
+
+
+def test_every_dataclass_field_is_read():
+    """A field only its own checks read is state nothing uses; reads match by name."""
+    trees = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    declared = set().union(*(dataclass_fields(t) for t in trees))
+    reads = set().union(*(attribute_reads(t) for t in trees))
+    read = {(cls, name) for cls, name in declared
+            if any(attr == name and not (owner == cls and method in ("__post_init__", "validate"))
+                   for attr, owner, method in reads)}
+    unread = sorted(f"{c}.{n}" for c, n in declared - read - UNREAD_FIELDS_ALLOWED)
+    assert not unread, f"dataclass fields src/ never reads: {unread}"
 
 
 def absolute_imports(tree: ast.Module) -> set[str]:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_frames_in_unit_range_and_shapes():
     assert cov.fields.shape[1] == N_COV_CHANNELS
     assert cov.fields.shape[2:] == (16, 16)
     assert len(cov.lead_minutes) == cov.fields.shape[0]
-    assert seq.minutes[2] == 0.0  # last input frame is the issue time
+    assert cov.lead_minutes[0] == 10.0  # first future frame, one cadence after issue
 
 
 def test_invalid_ranges_rejected():
@@ -216,26 +217,21 @@ def test_radar_sequence_invariants_enforced():
     from foucast.synth import RadarSequence
 
     good = np.zeros((3, 1, 8, 8))
-    RadarSequence(frames=good, minutes=np.array([-10.0, 0.0, 10.0]))
+    RadarSequence(frames=good)
     with pytest.raises(SynthError, match=r"\[0, 1\]"):
-        RadarSequence(frames=good - 0.5, minutes=np.array([-10.0, 0.0, 10.0]))
-    with pytest.raises(SynthError, match="increasing"):
-        RadarSequence(frames=good, minutes=np.array([0.0, 0.0, 10.0]))
-    with pytest.raises(SynthError, match="cadence"):
-        RadarSequence(frames=good, minutes=np.array([0.0, 10.0, 30.0]))
+        RadarSequence(frames=good - 0.5)
+    with pytest.raises(SynthError, match=r"must be \(n, 1, H, W\)"):
+        RadarSequence(frames=np.zeros((3, 2, 8, 8)))
 
 
 def test_non_finite_event_values_rejected():
     """NaN passes the [0, 1] range check, so non-finite values are rejected by name."""
     from foucast.synth import CovariateGrid, RadarSequence
 
-    minutes = np.array([-10.0, 0.0, 10.0])
     frames = np.zeros((3, 1, 8, 8))
     frames[1, 0, 2, 3] = np.nan
     with pytest.raises(SynthError, match="frames contains non-finite"):
-        RadarSequence(frames=frames, minutes=minutes)
-    with pytest.raises(SynthError, match="minutes contains non-finite"):
-        RadarSequence(frames=np.zeros((3, 1, 8, 8)), minutes=np.array([-10.0, 0.0, np.inf]))
+        RadarSequence(frames=frames)
     fields = np.zeros((2, N_COV_CHANNELS, 8, 8))
     fields[0, 4, 1, 1] = -np.inf
     with pytest.raises(SynthError, match="fields contains non-finite"):
@@ -328,5 +324,32 @@ def test_manifest_short_event_file_rejected(tmp_path):
     manifest_path = synth_dataset(small_cfg(), n_events=1, out_dir=tmp_path)
     path = tmp_path / "events/event_0000_covs.fct"
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(tensorfile.TruncatedError, match="truncated payload"):
+    with pytest.raises(tensorfile.TruncatedError) as err:
         read_manifest(manifest_path)
+    # it keeps its type and offset, and names the manifest line and the file
+    assert str(err.value).startswith(f"{manifest_path} line ")
+    assert f": {path}: truncated payload: expected" in str(err.value)
+    assert err.value.byte_offset == path.stat().st_size
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("version = 1\n", ""),
+    lambda text: text.replace("version = 1\n", "version = 7\n"),
+], ids=["missing", "unknown"])
+def test_manifest_version_checked(tmp_path, edit):
+    manifest_path = synth_dataset(small_cfg(), n_events=1, out_dir=tmp_path)
+    manifest_path.write_text(edit(manifest_path.read_text()))
+    with pytest.raises(SynthError, match=r"manifest version (None|7) is not 1"):
+        read_manifest(manifest_path)
+
+
+def test_load_event_checks_frames_against_manifest(tmp_path):
+    """Frames that do not fit the header's (t_in + k_out, 1, hw, hw) fail at load, by file."""
+    manifest_path = synth_dataset(small_cfg(), n_events=1, out_dir=tmp_path)
+    man = read_manifest(manifest_path)
+    path = man.entries[0].frames_path
+    frames = tensorfile.read_tensor(path)
+    for bad in (frames[:-1], frames[:, :, :16]):
+        tensorfile.write_tensor(path, bad)
+        with pytest.raises(SynthError, match=re.escape(f"{path}: frames {bad.shape} do not match")):
+            load_event(man.entries[0], man)
