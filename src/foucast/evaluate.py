@@ -122,7 +122,7 @@ def write_reports(out_dir: str | Path, report: EvalReport) -> list[Path]:
         tmp.replace(path)
         return path
 
-    paths = [
+    return [
         emit(
             "metrics_csi.csv",
             "model,threshold,csi,hss",
@@ -144,4 +144,3 @@ def write_reports(out_dir: str | Path, report: EvalReport) -> list[Path]:
             ],
         ),
     ]
-    return paths

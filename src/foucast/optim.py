@@ -7,7 +7,7 @@ values are carried over bit-exactly and their moments are not advanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,8 +71,4 @@ def adamw_step(
         m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * flat[live]
     )
 
-    new_state = OptimizerState(
-        m=m, v=v, step=t, lr=state.lr, beta1=state.beta1,
-        beta2=state.beta2, eps=state.eps, weight_decay=state.weight_decay,
-    )
-    return theta.from_flat(new_flat), new_state
+    return theta.from_flat(new_flat), replace(state, m=m, v=v, step=t)

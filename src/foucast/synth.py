@@ -89,8 +89,9 @@ class SyntheticEventConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise SynthError(f"seed = {self.seed} must be nonnegative")
-        for name in ("advect_range", "growth_range", "anisotropy_range", "turn_range",
-                     "size_range"):
+        ranges = ("advect_range", "growth_range", "anisotropy_range", "turn_range", "size_range")
+        _require_finite(self, (*ranges, "noise_amp"))
+        for name in ranges:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise SynthError(f"{name} is not well-ordered: ({lo}, {hi})")

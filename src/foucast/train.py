@@ -107,10 +107,12 @@ def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[in
 def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConfig) -> float:
     """One optimizer step; returns the batch loss.
 
-    Each sample's graph has its own leaves over the shared arrays, so its forward
-    pass and then its sweep can run on a pool worker (``fan_out``, sized by
-    ``step_workers``).  Gradients are summed last sample first, the order of one
-    shared graph's sweep, so the step does not depend on the pool size.
+    Each sample is one ``fan_out`` task (sized by ``step_workers``) that builds a
+    graph on its own leaves over the shared arrays and sweeps it if its loss is
+    finite, so a step holds one live tape per worker; a non-finite batch loss
+    raises before the optimizer moves.  Gradients are summed last sample first,
+    the order of one shared graph's sweep, so the step does not depend on the
+    pool size.
     """
     model = state.model
     cfg = model.cfg
@@ -119,28 +121,26 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     idx = list(batch_indices(tcfg.seed, step, len(prepared), tcfg.batch))
     scale = 1.0 / len(idx)
 
-    def forward(i):
+    def sample(i):
         ev = prepared[i]
         leaves = make_leaves(model.params)
         pred, _ = forward_tape(
             leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
             gt_frames=ev.frames if phase == 1 else None,
         )
-        return leaves, loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
-
-    def backward(sample):
-        leaves, sample_loss = sample
+        sample_loss = loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
+        if not np.isfinite(sample_loss.value):
+            return sample_loss.value, None
         ad.backward(ad.mul(sample_loss, scale))
-        return collect_grads(model.params, leaves)
+        return sample_loss.value, collect_grads(model.params, leaves)
 
     workers, _ = step_workers(cfg, default_workers(), len(idx))
-    samples = fan_out(forward, idx, workers)
-    loss_value = float(sum(sample_loss.value for _, sample_loss in samples) * scale)
+    per_sample = fan_out(sample, idx, workers)
+    loss_value = float(sum(value for value, _ in per_sample) * scale)
     if not np.isfinite(loss_value):
         raise TrainError(f"non-finite loss {loss_value} at step {step}")
-    per_sample = fan_out(backward, samples, workers)
-    grads = per_sample[-1]
-    for earlier in reversed(per_sample[:-1]):
+    grads = per_sample[-1][1]
+    for _, earlier in reversed(per_sample[:-1]):
         for name, g in grads:
             g += earlier[name]
 
@@ -174,10 +174,13 @@ def train_model(
     log_fh = None
     writer = None
     if log_path is not None:
-        log_fh = open(log_path, "a", newline="")
+        log_fh = open(log_path, "a+", newline="")
+        log_fh.seek(0)
+        # rewrite the header and earlier steps' rows: a resume drops what ran past its checkpoint
+        rows = [r for r in csv.reader(log_fh) if r and r[0].isdecimal() and int(r[0]) < state.step]
+        log_fh.truncate(0)
         writer = csv.writer(log_fh)
-        if log_fh.tell() == 0:  # a new or empty log, whatever step the run starts at
-            writer.writerow(["step", "phase", "loss"])
+        writer.writerows([["step", "phase", "loss"], *rows])
     try:
         while state.step < tcfg.total_steps:
             loss = train_step(state, prepared, tcfg)

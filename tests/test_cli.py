@@ -208,6 +208,22 @@ def test_synth_invalid_range_nonzero_exit(tmp_path, capsys):
     assert "advect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("setting,name", [
+    ("size = nan, nan", "size_range"),
+    ("advect = nan, 1", "advect_range"),
+    ("growth = -inf, 0", "growth_range"),
+    ("noise_amp = nan", "noise_amp"),
+])
+def test_non_finite_generator_setting_named(tmp_path, capsys, command, setting, name):
+    """Range checks let NaN through, so a non-finite [data] setting is rejected by name first."""
+    ini = write_ini(tmp_path / "c.ini", data_extra=setting)
+    args = ["--manifest", str(tmp_path / "manifest.txt")] if command == "train" else []
+    assert main([command, "--config", str(ini), "--out", str(tmp_path / "d"), *args]) == 2
+    assert f"[data] {name} contains non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_eval_report_pipeline(tmp_path, capsys):
     ini = write_ini(tmp_path / "c.ini", n_events=4)
     data = tmp_path / "data"
@@ -255,7 +271,7 @@ def test_train_determinism_same_seed(tmp_path):
 
 
 def test_resumed_train_log_has_one_header(tmp_path):
-    """A resume writes the header into a new log and only appends to an existing one."""
+    """A resume writes the header into a new log and appends to an existing one."""
     ini = write_ini(tmp_path / "c.ini", p1=2, p2=1)
     longer = write_ini(tmp_path / "longer.ini", p1=2, p2=3)
     data = tmp_path / "data"
@@ -272,6 +288,41 @@ def test_resumed_train_log_has_one_header(tmp_path):
     original = (run / "train_log.csv").read_text().splitlines()
     assert original.count("step,phase,loss") == 1 and original[0] == "step,phase,loss"
     assert len(original) == 1 + 3 + 2
+
+
+def test_rerun_interrupted_resume_log_matches_uninterrupted(tmp_path, monkeypatch):
+    """A resume keeps the log's rows before the checkpoint step and drops the rest, so
+    re-running a resume that was interrupted logs each step once."""
+    from foucast import train
+
+    short = write_ini(tmp_path / "short.ini", p1=2, p2=0)
+    ini = write_ini(tmp_path / "c.ini", p1=2, p2=4)
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+
+    def train_to(config, out, *args):
+        assert main(["train", "--config", str(config), "--manifest", str(data / "manifest.txt"),
+                     "--out", str(out), *args]) == 0
+
+    train_to(ini, tmp_path / "whole")
+    run = tmp_path / "run"
+    train_to(short, run)
+    resume = ["--checkpoint", str(run / "model.ckpt")]
+    train_step = train.train_step
+
+    def interrupted_step(state, *args):
+        if state.step == 4:
+            raise KeyboardInterrupt
+        return train_step(state, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(train, "train_step", interrupted_step)
+        with pytest.raises(KeyboardInterrupt):
+            train_to(ini, run, *resume)
+    steps = [line.split(",")[0] for line in (run / "train_log.csv").read_text().splitlines()]
+    assert steps == ["step", "0", "1", "2", "3"]
+    train_to(ini, run, *resume)
+    assert (run / "train_log.csv").read_bytes() == (tmp_path / "whole/train_log.csv").read_bytes()
 
 
 def test_ablation_variants_emit_tagged_rows(tmp_path):

@@ -4,8 +4,9 @@ library, and one module fans work out over threads.
 A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
 ``UNUSED_ALLOWED`` are the only exceptions.  ``pool.fan_out`` is the one
-fan-out, so only ``pool.py`` imports ``concurrent.futures``.  Resampling is
-numpy weight matrices, so scipy stays in ``synth.py`` (its Gaussian blur).
+fan-out, so only ``pool.py`` imports ``concurrent.futures``, and training and
+evaluation each call it once.  Resampling is numpy weight matrices, so scipy
+stays in ``synth.py`` (its Gaussian blur).
 """
 
 import ast
@@ -160,6 +161,17 @@ def test_only_pool_imports_concurrent_futures():
     importers = sorted(p.stem for p in SRC.glob("*.py")
                        if "concurrent" in absolute_imports(ast.parse(p.read_text())))
     assert importers == ["pool"], f"modules importing concurrent.futures: {importers}"
+
+
+def test_fan_out_has_one_call_site_per_caller():
+    """Training and evaluation each fan out once: a step runs each sample as one task."""
+    calls = {}
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Call) and "fan_out" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls[p.stem] = calls.get(p.stem, 0) + 1
+    assert calls == {"train": 1, "evaluate": 1}, f"fan_out call sites per module: {calls}"
 
 
 def test_only_synth_imports_scipy():

@@ -227,16 +227,74 @@ def test_blas_threads_restored_when_step_raises(monkeypatch, blas_at_two, worker
     assert blas_at_two() == 2
 
 
-def test_non_finite_loss_raises_before_any_backward(monkeypatch):
+@pytest.mark.parametrize("poisoned", ["every_sample", "one_sample"])
+def test_non_finite_loss_raises_before_any_backward(monkeypatch, poisoned):
+    """A NaN loss, in every sample or in one, stops the step before the optimizer moves."""
     from foucast import train
 
+    monkeypatch.setenv("FOUCAST_THREADS", "2")
+    monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=2)
+    prepared = prepare_events(model, make_events(cfg))
+    tcfg = TrainConfig(lr=0.003, batch=3, phase1_steps=2, phase2_steps=2, seed=2)
+    state = TrainState(model=model, opt=init_state(model.params, lr=tcfg.lr))
+    train_step(state, prepared, tcfg)  # a good step first, so the moments are not zero
+
+    def snapshot():
+        return (model.params.to_flat().tobytes(), state.opt.m.tobytes(),
+                state.opt.v.tobytes(), state.opt.step, list(state.history))
+
+    before = snapshot()
+    bad = prepared[2].frames  # step 1 draws events [0, 2, 0]: event 2 is the middle sample
+    assert list(train.batch_indices(tcfg.seed, 1, len(prepared), tcfg.batch)) == [0, 2, 0]
     loss_tape = train.loss_tape
-    monkeypatch.setattr(train, "loss_tape", lambda *a: ad.mul(loss_tape(*a), np.nan))
+
+    def poisoning_loss(pred, target, lam):
+        loss = loss_tape(pred, target, lam)
+        hit = poisoned == "every_sample" or np.shares_memory(target, bad)
+        return ad.mul(loss, np.nan) if hit else loss
+
+    monkeypatch.setattr(train, "loss_tape", poisoning_loss)
     swept = []
     recording(monkeypatch, ad, "backward", swept, lambda: True)
-    with pytest.raises(TrainError, match="non-finite loss nan at step 0"):
-        train_with_pool(monkeypatch, 2)
-    assert swept == []
+    with pytest.raises(TrainError, match="non-finite loss nan at step 1"):
+        train_step(state, prepared, tcfg)
+    assert snapshot() == before
+    # the finite samples may sweep; a poisoned one never does
+    assert len(swept) == (0 if poisoned == "every_sample" else 2)
+
+
+def test_step_holds_one_sample_tape_at_a_time(monkeypatch):
+    """Each sample's tape is freed once its gradients are collected: when a sample's
+    forward pass starts, no earlier sample's loss node is alive."""
+    import gc
+
+    from foucast import train
+
+    monkeypatch.setenv("FOUCAST_THREADS", "1")
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=7)
+    prepared = prepare_events(model, make_events(cfg))
+    tcfg = TrainConfig(batch=3, phase1_steps=1, phase2_steps=0, seed=7)
+    # Var has no weakref slot, so liveness is a search of the collector's objects by node id
+    loss_ids, alive = [], []
+    loss_tape, forward_tape = train.loss_tape, train.forward_tape
+
+    def recording_loss(*args):
+        loss = loss_tape(*args)
+        loss_ids.append(loss._id)
+        return loss
+
+    def checking_forward(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(isinstance(o, ad.Var) and o._id in loss_ids for o in gc.get_objects()))
+        return forward_tape(*args, **kwargs)
+
+    monkeypatch.setattr(train, "loss_tape", recording_loss)
+    monkeypatch.setattr(train, "forward_tape", checking_forward)
+    train_step(TrainState(model=model, opt=init_state(model.params)), prepared, tcfg)
+    assert len(loss_ids) == 3 and alive == [0, 0, 0]
 
 
 def test_without_blas_setter_step_runs_on_one_worker(monkeypatch):
