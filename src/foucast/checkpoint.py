@@ -1,12 +1,12 @@
 """Checkpoint serialization: a JSON header line followed by FCT1 tensor blobs.
 
-The header carries the architecture config, the step count (the optimizer's,
-or 0 without one), the parameter names and the optimizer scalars; the blobs
-carry every parameter plus the optimizer moment vectors in declared order.
+Every checkpoint holds the model and its AdamW state.  The header carries the
+architecture config, the optimizer's step count, the parameter names and the
+optimizer scalars; the blobs carry every parameter, then the moments m and v.
 The training phase and the memory freeze follow from the step, so they are
 not stored; older headers that also carry the phase, the freeze flag and a
 second copy of the step load with those keys ignored.  Round trips are
-bit-exact.
+bit-exact, and a write is fsynced before it replaces the file.
 Loading against a mismatched config, or a file whose header or parameters do
 not fit its own config, is an error naming the offending key or parameter.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +37,23 @@ class CheckpointError(IOError):
 OPTIMIZER_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
 
-def save_checkpoint(
-    path: str | Path, model: NowcastModel, opt: OptimizerState | None = None
-) -> None:
+def save_checkpoint(path: str | Path, model: NowcastModel, opt: OptimizerState) -> None:
     header = {
         "version": FORMAT_VERSION,
         "config": dataclasses.asdict(model.cfg),
-        "step": opt.step if opt is not None else 0,
+        "step": opt.step,
         "param_names": model.params.names(),
-        "optimizer": None,
+        "optimizer": {key: getattr(opt, key) for key in OPTIMIZER_SCALARS},
     }
-    if opt is not None:
-        header["optimizer"] = {key: getattr(opt, key) for key in OPTIMIZER_SCALARS}
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for name in model.params.names():
             tensorfile.write_stream(fh, model.params[name])
-        if opt is not None:
-            tensorfile.write_stream(fh, opt.m)
-            tensorfile.write_stream(fh, opt.v)
+        tensorfile.write_stream(fh, opt.m)
+        tensorfile.write_stream(fh, opt.v)
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
 
 
@@ -79,11 +77,12 @@ def _model_config(cfg_dict: dict) -> ModelConfig:
 
 def load_checkpoint(
     path: str | Path, expect_cfg: ModelConfig | None = None
-) -> tuple[NowcastModel, OptimizerState | None, dict]:
+) -> tuple[NowcastModel, OptimizerState, dict]:
     """Read a checkpoint, checking it against its own config before returning.
 
-    Parameter names, shapes and dtypes must be those ``init_params`` gives the
-    header's config, and every value must be finite.
+    The step must be an integer >= 0, and the optimizer must hold every
+    ``OPTIMIZER_SCALARS`` key.  Parameter names, shapes and dtypes must be those
+    ``init_params`` gives the header's config, and every value must be finite.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -104,6 +103,14 @@ def load_checkpoint(
             ]
             if mismatches:
                 raise CheckpointError("config mismatch: " + "; ".join(mismatches))
+        step = _header_value(header, "step")
+        if type(step) is not int or step < 0:  # bool is an int subclass; JSON true is not a step
+            raise CheckpointError(f"checkpoint step = {json.dumps(step)} is not an integer >= 0")
+        scalars = _header_value(header, "optimizer")
+        if not isinstance(scalars, dict):
+            raise CheckpointError(f"checkpoint optimizer = {json.dumps(scalars)} is not an "
+                                  f"object of {', '.join(OPTIMIZER_SCALARS)}")
+        state = {key: _header_value(scalars, key, "optimizer") for key in OPTIMIZER_SCALARS}
         expected = init_params(cfg, np.random.default_rng(0))
         names = _header_value(header, "param_names")
         for got, want in itertools.zip_longest(names, expected.names()):
@@ -122,15 +129,9 @@ def load_checkpoint(
             if not np.all(np.isfinite(value)):
                 raise CheckpointError(f"checkpoint parameter {name!r} has non-finite values")
             params.add(name, value)
-        step = int(_header_value(header, "step"))
-        opt = None
-        scalars = _header_value(header, "optimizer")
-        if scalars is not None:
-            state = {key: _header_value(scalars, key, "optimizer") for key in OPTIMIZER_SCALARS}
-            for key in ("m", "v"):
-                value = state[key] = tensorfile.read_stream(fh)
-                if value.shape != (params.size,) or not np.all(np.isfinite(value)):
-                    raise CheckpointError(
-                        f"checkpoint optimizer.{key} is not {params.size} finite values")
-            opt = OptimizerState(**state, step=step)
-    return NowcastModel(cfg=cfg, params=params), opt, {"step": step}
+        for key in ("m", "v"):
+            value = state[key] = tensorfile.read_stream(fh)
+            if value.shape != (params.size,) or not np.all(np.isfinite(value)):
+                raise CheckpointError(
+                    f"checkpoint optimizer.{key} is not {params.size} finite values")
+    return NowcastModel(cfg=cfg, params=params), OptimizerState(**state, step=step), {"step": step}

@@ -20,8 +20,13 @@ from .train import TrainError, TrainState, step_workers, train_model
 def _load_split(manifest: Manifest, split: str, cfg: ModelConfig):
     """The split's events, once the manifest's data is known to fit the model config."""
     expect = dict(t_in=cfg.t_in, k_out=cfg.k_out, hw=cfg.hw, cadence_minutes=CADENCE_MINUTES)
-    for key, want in expect.items():  # synth_dataset writes str(value)
-        if (got := manifest.meta.get(key)) != str(want):
+    for key, want in expect.items():
+        got = manifest.meta.get(key)
+        try:
+            matches = float(got) == want
+        except (TypeError, ValueError):
+            raise ConfigError(f"manifest {key} = {got} is not a number") from None
+        if not matches:
             raise ConfigError(f"manifest {key} = {got} does not match the model's {key} = {want}")
     return [load_event(entry, manifest) for entry in manifest.split(split)]
 
@@ -47,8 +52,6 @@ def cmd_train(args) -> int:
         tcfg.validate()
     if args.checkpoint:
         model, opt, meta = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
-        if opt is None:
-            raise CheckpointError(f"{args.checkpoint} has no optimizer state to resume from")
         for key in OPTIMIZER_SCALARS:  # a resumed run continues the one that was saved
             if (saved := getattr(opt, key)) != (want := getattr(tcfg, key)):
                 raise CheckpointError(

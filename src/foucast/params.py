@@ -44,14 +44,8 @@ class ParamSet:
             )
         self._arrays[name] = a
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def __iter__(self):
         return iter(self._arrays.items())
-
-    def __len__(self) -> int:
-        return len(self._arrays)
 
     @staticmethod
     def _n_reals(a: np.ndarray) -> int:

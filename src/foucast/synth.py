@@ -282,8 +282,8 @@ def read_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     meta: dict = {}
     entries: list[ManifestEntry] = []
-    cov_mean = np.zeros(N_COV_CHANNELS)
-    cov_std = np.ones(N_COV_CHANNELS)
+    cov_mean = np.full(N_COV_CHANNELS, np.nan)  # NaN: no covstat line yet
+    cov_std = np.full(N_COV_CHANNELS, np.nan)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -292,9 +292,15 @@ def read_manifest(path: str | Path) -> Manifest:
             try:  # every ValueError below is a line that does not parse; name it
                 if line.startswith("covstat "):
                     _, ch, m, s = line.split()
-                    if not 0 <= int(ch) < N_COV_CHANNELS:
+                    ch, m, s = int(ch), float(m), float(s)
+                    if not 0 <= ch < N_COV_CHANNELS:
                         raise ValueError(f"covariate channel {ch} outside 0..{N_COV_CHANNELS - 1}")
-                    cov_mean[int(ch)], cov_std[int(ch)] = float(m), float(s)
+                    if not (np.isfinite(m) and np.isfinite(s) and s > 0):
+                        raise ValueError(f"covariate channel {ch} needs a finite mean and a "
+                                         f"finite std > 0, got {m} {s}")
+                    if not np.isnan(cov_mean[ch]):
+                        raise ValueError(f"covariate channel {ch} has a second covstat line")
+                    cov_mean[ch], cov_std[ch] = m, s
                 elif line.startswith("event "):
                     _, split, fp, cp, lp = line.split()
                     entry = ManifestEntry(
@@ -319,6 +325,9 @@ def read_manifest(path: str | Path) -> Manifest:
                 raise SynthError(f"{path} line {lineno}: {exc}") from None
     if (version := meta.get("version")) != MANIFEST_VERSION:
         raise SynthError(f"{path}: manifest version {version} is not {MANIFEST_VERSION}")
+    if (missing := np.flatnonzero(np.isnan(cov_mean))).size:
+        raise SynthError(f"{path}: no covstat line for covariate channel(s) "
+                         f"{', '.join(map(str, missing))}")
     return Manifest(path=path, meta=meta, entries=entries, cov_mean=cov_mean, cov_std=cov_std)
 
 
@@ -326,7 +335,7 @@ def load_event(entry: ManifestEntry, manifest: Manifest) -> tuple[RadarSequence,
     frames = tensorfile.read_tensor(entry.frames_path).astype(np.float64)
     covs = tensorfile.read_tensor(entry.covs_path).astype(np.float64)
     leads = tensorfile.read_tensor(entry.leads_path).astype(np.float64)
-    t_in, k_out, hw = (int(manifest.meta[k]) for k in ("t_in", "k_out", "hw"))
+    t_in, k_out, hw = (int(float(manifest.meta[k])) for k in ("t_in", "k_out", "hw"))
     want = (t_in + k_out, 1, hw, hw)
     if frames.shape != want:
         raise SynthError(f"{entry.frames_path}: frames {frames.shape} do not match the "

@@ -17,7 +17,7 @@ import numpy as np
 MAGIC = b"FCT1"
 
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<c16")}
-_KIND_TO_CODE = {"f4": 0, "f8": 1, "c16": 2}
+_DTYPE_TO_CODE = {dtype: code for code, dtype in _CODE_TO_DTYPE.items()}
 
 
 class TensorFileError(IOError):
@@ -38,23 +38,10 @@ class DtypeMismatchError(TensorFileError):
     pass
 
 
-def _storage_dtype(a: np.ndarray) -> np.dtype:
-    if a.dtype == np.float32:
-        return np.dtype("<f4")
-    if a.dtype == np.complex64 or a.dtype == np.complex128:
-        return np.dtype("<c16")
-    if np.issubdtype(a.dtype, np.floating):
-        return np.dtype("<f8")
-    if np.issubdtype(a.dtype, np.integer) or a.dtype == np.bool_:
-        return np.dtype("<f8")
-    raise TensorFileError(f"unsupported dtype {a.dtype}", 0)
-
-
 def write_stream(fh: io.BufferedIOBase, tensor: np.ndarray) -> None:
     a = np.asarray(tensor)
-    dt = _storage_dtype(a)
-    a = a.astype(dt, copy=False)
-    code = _KIND_TO_CODE[dt.str.lstrip("<|=")]
+    if (code := _DTYPE_TO_CODE.get(a.dtype)) is None:
+        raise TensorFileError(f"unsupported dtype {a.dtype}", 0)
     fh.write(MAGIC)
     fh.write(bytes([code, a.ndim]))
     fh.write(np.asarray(a.shape, dtype="<u4").tobytes())

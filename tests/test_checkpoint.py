@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def test_config_mismatch_names_both_values(tmp_path):
     cfg = micro_cfg(depth_l=1)
     model = NowcastModel.initialize(cfg, seed=1)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, init_state(model.params))
     with pytest.raises(CheckpointError, match=r"depth_l: checkpoint=1 vs config=2"):
         load_checkpoint(path, expect_cfg=micro_cfg(depth_l=2))
 
@@ -80,8 +82,19 @@ def rewrite_header(path, edit):
     (lambda h: h["param_names"].reverse(), "where the config expects 'enc1.w'"),
     (lambda h: h["config"].update(mem_channels=8), r"'mem1.w' is \(4, 3, 3, 3\)"),
     (lambda h: h["optimizer"].pop("lr"), "optimizer has no 'lr'"),
+    (lambda h: h.pop("optimizer"), "header has no 'optimizer'"),
+    (lambda h: h.update(optimizer=None), "optimizer = null is not an object of lr, "),
+    (lambda h: h.update(optimizer=[0.001]), r"optimizer = \[0.001\] is not an object"),
+    (lambda h: h.update(step="x"), 'step = "x" is not an integer >= 0'),
+    (lambda h: h.update(step=None), "step = null is not an integer >= 0"),
+    (lambda h: h.update(step=-3), "step = -3 is not an integer >= 0"),
+    (lambda h: h.update(step=2.7), r"step = 2.7 is not an integer >= 0"),
+    (lambda h: h.update(step=2.0), r"step = 2.0 is not an integer >= 0"),
+    (lambda h: h.update(step=True), "step = true is not an integer >= 0"),
 ], ids=["no_config", "no_param_names", "no_step", "config_lacks_key", "older_variant_keys",
-        "param_order", "param_shape", "optimizer_lacks_lr"])
+        "param_order", "param_shape", "optimizer_lacks_lr", "no_optimizer", "null_optimizer",
+        "list_optimizer", "string_step", "null_step", "negative_step", "fractional_step",
+        "float_step", "bool_step"])
 def test_header_that_does_not_fit_is_named(tmp_path, edit, message):
     model = NowcastModel.initialize(micro_cfg(), seed=1)
     path = tmp_path / "m.ckpt"
@@ -104,6 +117,28 @@ def test_optimizer_moments_that_do_not_fit_are_named(tmp_path, moment, edit):
     save_checkpoint(path, model, opt)
     with pytest.raises(CheckpointError, match=rf"optimizer\.{moment} is not {model.params.size} "):
         load_checkpoint(path)
+
+
+def test_write_is_fsynced_before_it_replaces_the_file(tmp_path, monkeypatch):
+    """The temp file's bytes reach the disk before the rename makes them the checkpoint."""
+    calls = []
+    fsync, replace = os.fsync, Path.replace
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def record_replace(self, target):
+        calls.append(("replace", Path(target).name))
+        return replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(Path, "replace", record_replace)
+    model = NowcastModel.initialize(micro_cfg(), seed=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, init_state(model.params))
+    assert calls == [("fsync", path.stat().st_size), ("replace", "m.ckpt")]
+    assert not Path(str(path) + ".tmp").exists()
 
 
 def resume_from(path, events, tcfg):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -48,6 +49,27 @@ def write_ini(path, n_events=4, p1=2, p2=3, model_extra="", data_extra="", eval_
         data_extra=data_extra, eval_extra=eval_extra,
     ))
     return path
+
+
+def save_initial_checkpoint(path, ini):
+    """A checkpoint of the config's model at seed 0 with fresh AdamW state at [train] settings."""
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+    from foucast.optim import init_state
+
+    cfg = load_config(ini)
+    model = NowcastModel.initialize(cfg.model, seed=0)
+    save_checkpoint(path, model, init_state(
+        model.params, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay))
+    return path
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header, keeping its blobs."""
+    header, rest = path.read_bytes().split(b"\n", 1)
+    head = json.loads(header)
+    edit(head)
+    path.write_bytes(json.dumps(head).encode() + b"\n" + rest)
 
 
 # --- config parsing ---------------------------------------------------------
@@ -363,13 +385,23 @@ def test_eval_config_mismatch_rejected(tmp_path, capsys):
     assert "depth_l" in capsys.readouterr().err
 
 
+HEADER_FAULTS = {
+    "header_key": lambda head: head["config"].update(bogus=1),
+    "no_optimizer": lambda head: head.update(optimizer=None),  # a save without optimizer state
+    "string_step": lambda head: head.update(step="x"),
+    "null_step": lambda head: head.update(step=None),
+    "negative_step": lambda head: head.update(step=-3),
+    "fractional_step": lambda head: head.update(step=2.7),
+}
+
+
 @pytest.mark.parametrize("fault,name", [
     ("header_key", "bogus"), ("nan_param", "enc1.b"), ("no_optimizer", "optimizer"),
+    ("string_step", "step"), ("null_step", "step"), ("negative_step", "step"),
+    ("fractional_step", "step"),
 ])
 def test_bad_checkpoint_fails_with_named_error(tmp_path, capsys, fault, name):
-    """A checkpoint that does not fit its own config stops the command with exit code 2."""
-    import json
-
+    """A checkpoint that does not fit its own config stops train and eval with exit code 2."""
     from foucast.checkpoint import save_checkpoint
     from foucast.model import NowcastModel
     from foucast.optim import init_state
@@ -383,18 +415,16 @@ def test_bad_checkpoint_fails_with_named_error(tmp_path, capsys, fault, name):
         bad[0] = np.nan
         model.params[name] = bad
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, model, None if fault == "no_optimizer" else init_state(model.params))
-    if fault == "header_key":
-        header, rest = ckpt.read_bytes().split(b"\n", 1)
-        head = json.loads(header)
-        head["config"][name] = 1
-        ckpt.write_bytes(json.dumps(head).encode() + b"\n" + rest)
-    command = "train" if fault == "no_optimizer" else "eval"
-    rc = main([command, "--config", str(ini), "--checkpoint", str(ckpt),
-               "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert name in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    save_checkpoint(ckpt, model, init_state(model.params, lr=0.002))
+    if fault in HEADER_FAULTS:
+        rewrite_header(ckpt, HEADER_FAULTS[fault])
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        rc = main([command, "--config", str(ini), "--checkpoint", str(ckpt),
+                   "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0"])
@@ -429,8 +459,6 @@ def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch
                                                             command, edit, key):
     """A dataset whose frames do not fit [model] stops train and eval, naming the key."""
     from foucast import cli
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
@@ -441,7 +469,7 @@ def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch
         text = text.replace(old, new)
     other.write_text(text)
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(other).model, seed=0))
+    save_initial_checkpoint(ckpt, other)
     loaded = []
     monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
     args = ["--checkpoint", str(ckpt)] if command == "eval" else []
@@ -456,14 +484,12 @@ def test_manifest_config_mismatch_fails_before_events_load(tmp_path, monkeypatch
 def test_bad_data_config_fails_before_events_load(tmp_path, monkeypatch, capsys, command):
     """A [data] generator setting that synth would reject stops train and eval too."""
     from foucast import cli
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     bad = write_ini(tmp_path / "bad.ini", data_extra="advect = 5, 1")
     loaded = []
     monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
@@ -502,19 +528,21 @@ def test_resume_with_other_learning_rate_fails_before_work(tmp_path, monkeypatch
     "covstat 0 x0.08 1.0",            # a value that is not a number
     "covstat 99 0.0 1.0",             # a channel the covariates do not have
     "event test frames.fct covs.fct",  # four fields, not five
+    "covstat 0 0.0 0.0",              # z-scoring would divide by zero
+    "covstat 3 nan 1.0",
+    "covstat 7 0.5 -inf",
+    "covstat 4 0.5 1.0",              # channel 4 already has its line
 ])
 def test_unparsable_manifest_line_fails_before_events_load(tmp_path, monkeypatch, capsys,
                                                           bad_line):
     """A manifest line that does not parse stops eval with exit code 2, naming the line."""
     from foucast import cli
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     manifest = data / "manifest.txt"
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(lines + [bad_line]) + "\n")
@@ -527,18 +555,77 @@ def test_unparsable_manifest_line_fails_before_events_load(tmp_path, monkeypatch
     assert loaded == [] and not (tmp_path / "run").exists()
 
 
+def edit_manifest(path, edit):
+    """Rewrite the manifest at ``path`` as ``edit`` returns its list of lines."""
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def set_key(key, line):
+    """A manifest edit that replaces the ``key = ...`` line with ``line``."""
+    return lambda lines: [line if old.startswith(key + " ") else old for old in lines]
+
+
+def drop_lines(prefix):
+    """A manifest edit that deletes every line starting with ``prefix``."""
+    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_header_numbers_compare_as_numbers(tmp_path, command):
+    """A manifest that writes 10 for 10.0 or 16.0 for 16 fits the model, and its events load."""
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    for old, new in [("cadence_minutes", "cadence_minutes = 10"), ("t_in", "t_in = 2.0"),
+                     ("k_out", "k_out = 2e0"), ("hw", "hw = 16.0")]:
+        edit_manifest(data / "manifest.txt", set_key(old, new))
+    ckpt = save_initial_checkpoint(tmp_path / "m.ckpt", ini)
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    assert main([command, "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+                 "--out", str(tmp_path / "run"), *args]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit,message", [
+    (set_key("hw", "hw = sixteen"), "manifest hw = sixteen is not a number"),
+    (set_key("cadence_minutes", "cadence_minutes = 10 min"),
+     "manifest cadence_minutes = 10 min is not a number"),
+    (drop_lines("k_out "), "manifest k_out = None is not a number"),
+    (set_key("t_in", "t_in = nan"), "manifest t_in = nan does not match the model's t_in = 2"),
+    # covariates are z-scored with the manifest's stats, so every channel needs its line
+    (drop_lines("covstat 19 "), "no covstat line for covariate channel(s) 19"),
+    (drop_lines("covstat "), "no covstat line for covariate channel(s) 0, 1, 2, "),
+], ids=["word", "unit", "missing", "nan", "covstat_19_missing", "no_covstat"])
+def test_manifest_header_that_does_not_fit_is_named(tmp_path, monkeypatch, capsys,
+                                                    command, edit, message):
+    """A header number that is not one, or a missing covstat channel, stops train and eval."""
+    from foucast import cli
+
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    ckpt = save_initial_checkpoint(tmp_path / "m.ckpt", ini)
+    edit_manifest(data / "manifest.txt", edit)
+    loaded = []
+    monkeypatch.setattr(cli, "load_event", lambda *a: loaded.append(a))
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    rc = main([command, "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+               "--out", str(tmp_path / "run"), *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "run").exists()
+
+
 def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
     """A NaN radar frame stops eval at load time, before any event is scored."""
     from foucast import tensorfile
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
     from foucast.synth import read_manifest
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     path = read_manifest(data / "manifest.txt").split("test")[0].frames_path
     frames = tensorfile.read_tensor(path)
     frames[-1, 0, 0, 0] = np.nan
@@ -554,15 +641,13 @@ def test_eval_non_finite_frames_fail_before_work(tmp_path, capsys):
 def test_short_frames_file_fails_at_load(tmp_path, capsys, command):
     """Frames one short of t_in + k_out stop train and eval at load, naming the file."""
     from foucast import tensorfile
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
     from foucast.synth import read_manifest
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     split = "test" if command == "eval" else "train"
     path = read_manifest(data / "manifest.txt").split(split)[0].frames_path
     tensorfile.write_tensor(path, tensorfile.read_tensor(path)[:-1])
@@ -577,14 +662,12 @@ def test_short_frames_file_fails_at_load(tmp_path, capsys, command):
 
 
 def test_eval_truncated_event_file_names_manifest_line_and_file(tmp_path, capsys):
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
 
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     path = data / "events/event_0003_covs.fct"
     path.write_bytes(path.read_bytes()[:-10])
     lineno = next(i for i, line in enumerate((data / "manifest.txt").read_text().splitlines(), 1)
@@ -605,8 +688,6 @@ def test_eval_truncated_event_file_names_manifest_line_and_file(tmp_path, capsys
 def test_eval_bad_covariate_leads_fail_at_load(tmp_path, capsys, fault, message):
     """A leads file out of order or one entry short stops eval when the event loads."""
     from foucast import tensorfile
-    from foucast.checkpoint import save_checkpoint
-    from foucast.model import NowcastModel
     from foucast.synth import read_manifest
 
     ini = write_ini(tmp_path / "c.ini")
@@ -614,7 +695,7 @@ def test_eval_bad_covariate_leads_fail_at_load(tmp_path, capsys, fault, message)
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, NowcastModel.initialize(load_config(ini).model, seed=0))
+    save_initial_checkpoint(ckpt, ini)
     path = read_manifest(data / "manifest.txt").split("test")[0].leads_path
     tensorfile.write_tensor(path, fault(tensorfile.read_tensor(path)))
     capsys.readouterr()

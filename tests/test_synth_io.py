@@ -54,6 +54,15 @@ def test_f32_and_c128_round_trips():
     assert back.tobytes() == z.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex64, np.float16])
+def test_other_dtypes_are_not_written(dtype):
+    """Only float32, float64 and complex128 arrays are stored; nothing is cast on the way."""
+    buf = io.BytesIO()
+    with pytest.raises(tensorfile.TensorFileError, match=f"unsupported dtype {np.dtype(dtype)}"):
+        tensorfile.write_stream(buf, np.ones(3, dtype=dtype))
+    assert buf.getvalue() == b""
+
+
 def test_truncated_payload_reports_counts(tmp_path):
     p = tmp_path / "t.fct"
     tensorfile.write_tensor(p, np.ones((4, 4)))
