@@ -79,28 +79,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _accumulate(node: Var, contrib: np.ndarray, op: str) -> None:
+def _accumulate(node: Var, contrib: np.ndarray, op: str, check: bool) -> None:
     c = np.asarray(contrib)
-    if not np.all(np.isfinite(c)):
+    if check and not np.all(np.isfinite(c)):
         raise AutodiffError(f"non-finite gradient produced by op {op!r}")
-    if np.iscomplexobj(node.value):
-        c = c.astype(np.complex128, copy=False)
-    else:
-        if np.iscomplexobj(c):
-            c = c.real
-        c = c.astype(np.float64, copy=False)
     if c.shape != node.value.shape:
         raise AutodiffError(
             f"op {op!r} produced gradient {c.shape} for parent {node.value.shape}"
         )
+    if np.iscomplexobj(c) and not np.iscomplexobj(node.value):
+        c = c.real
     if node.grad is None:
-        node.grad = c.copy()
+        node.grad = c.astype(node.value.dtype, order="C")  # a copy: rules may return views
     else:
         node.grad += c
 
 
+def _sweep(order: list[Var], check: bool) -> None:
+    """Run the reverse rules over ``order`` (loss first), from a unit cotangent."""
+    for v in order:
+        v.grad = None
+    order[0].grad = np.ones_like(order[0].value)
+    for v in order:
+        if v._vjp is None or v.grad is None:
+            continue
+        contribs = v._vjp(v.grad)
+        v.grad = None  # spent: freeing interior cotangents bounds the sweep's memory
+        for parent, contrib in zip(v._parents, contribs):
+            _accumulate(parent, contrib, v.op, check)
+
+
 def backward(loss: Var) -> None:
-    """Reverse sweep from a scalar real loss; fills ``grad`` on the reachable leaves."""
+    """Reverse sweep from a scalar real loss; fills ``grad`` on the reachable leaves.
+
+    Finiteness is checked once, on the gradients of the leaves the sweep reached
+    (parameters and constant inputs alike).  If one is non-finite, the sweep is
+    replayed with every contribution checked, so the error names the first op
+    whose reverse rule produced a non-finite value.
+    """
     if loss.value.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.value.shape}")
     if np.iscomplexobj(loss.value):
@@ -118,17 +134,10 @@ def backward(loss: Var) -> None:
                 stack.append(p)
     order = sorted(seen.values(), key=lambda v: v._id, reverse=True)
 
-    for v in order:
-        v.grad = None
-    loss.grad = np.ones_like(loss.value)
-
-    for v in order:
-        if v._vjp is None or v.grad is None:
-            continue
-        contribs = v._vjp(v.grad)
-        v.grad = None  # spent: freeing interior cotangents bounds the sweep's memory
-        for parent, contrib in zip(v._parents, contribs):
-            _accumulate(parent, contrib, v.op)
+    _sweep(order, check=False)
+    # Only leaves still hold a gradient: interior cotangents are freed once spent.
+    if not all(v.grad is None or np.all(np.isfinite(v.grad)) for v in order):
+        _sweep(order, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +459,11 @@ def irfft2_real(z, width: int) -> Var:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    c = x.shape[0]
+    c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = x
+        x = padded
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
     win = win[:, ::stride, ::stride]
     n_h, n_w = win.shape[1], win.shape[2]
@@ -513,8 +524,7 @@ def conv2d_transpose(x, w, b, stride: int = 1, pad: int = 0) -> Var:
     out = full[:, pad : hp - pad, pad : wp - pad] + b.value[:, None, None]
 
     def vjp(g):
-        gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad))) if pad else g
-        gcols, gn_h, gn_w = _im2col(gp, k, stride, 0)
+        gcols, gn_h, gn_w = _im2col(g, k, stride, pad)
         assert (gn_h, gn_w) == (h, ww)
         gx = (w2 @ gcols).reshape(x.value.shape)
         gw = (x2 @ gcols.T).reshape(w.value.shape)

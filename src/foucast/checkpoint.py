@@ -6,7 +6,9 @@ optimizer scalars; the blobs carry every parameter, then the moments m and v.
 The training phase and the memory freeze follow from the step, so they are
 not stored; older headers that also carry the phase, the freeze flag and a
 second copy of the step load with those keys ignored.  Round trips are
-bit-exact, and a write is fsynced before it replaces the file.
+bit-exact.  A write goes to ``<path>.tmp``, is fsynced, replaces the file and
+then fsyncs the directory; a write that fails part-way removes the temp file
+and leaves any earlier checkpoint at ``path`` untouched.
 Loading against a mismatched config, or a file whose header or parameters do
 not fit its own config, is an error naming the offending key or parameter.
 """
@@ -46,15 +48,24 @@ def save_checkpoint(path: str | Path, model: NowcastModel, opt: OptimizerState) 
         "optimizer": {key: getattr(opt, key) for key in OPTIMIZER_SCALARS},
     }
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name in model.params.names():
-            tensorfile.write_stream(fh, model.params[name])
-        tensorfile.write_stream(fh, opt.m)
-        tensorfile.write_stream(fh, opt.v)
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            for name in model.params.names():
+                tensorfile.write_stream(fh, model.params[name])
+            tensorfile.write_stream(fh, opt.m)
+            tensorfile.write_stream(fh, opt.v)
+            fh.flush()
+            os.fsync(fh.fileno())
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(tmp.parent, os.O_RDONLY)  # make the rename itself durable
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _header_value(header: dict, key: str, where: str = "header"):

@@ -2,10 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The directional-ablation
 criterion is split in two so each direction reports independently; the nine
-trainings behind it run once via a module-scoped fixture.
+trainings behind it run once, in two spawned processes, via a module-scoped
+fixture.
 """
 
+import functools
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -378,41 +382,49 @@ def test_criterion_6_overfit_sanity():
 
 
 ABLATION_SEEDS = (0, 1, 2)
+ABLATION_VARIANTS = {"full": (True, True), "no_pfm": (False, True), "no_fm": (True, False)}
+
+
+@functools.cache
+def ablation_dataset(seed, n=100):
+    """(train, test) split of one seed's 100 events."""
+    evs = [generate_event(SyntheticEventConfig(
+        seed=seed * 1000 + i, hw=64, t_in=3, k_out=6, n_blobs=2, cov_hw=16,
+        noise_amp=0.01, advect_range=(1.5, 1.5), turn_range=(0.0, 0.0),
+        growth_range=(0.0, 0.0), direction_modes=2,
+        anisotropy_range=(1.5, 1.5), size_range=(0.08, 0.10))) for i in range(n)]
+    return evs[:80], evs[80:]
+
+
+def ablation_run(seed, variant):
+    """Test MSE and MAE of one variant (enable_pfm, enable_fm) trained on one seed."""
+    tr, te = ablation_dataset(seed)
+    pfm, fm = ABLATION_VARIANTS[variant]
+    cfg = ModelConfig(t_in=3, k_out=6, hw=64, hidden_hw=16, c_emb=8, depth_l=1,
+                      n_blocks=2, memory_slots=8, enc_channels=(8, 16, 16),
+                      mem_channels=8, lam=0.57, enable_pfm=pfm, enable_fm=fm)
+    model = NowcastModel.initialize(cfg, seed=seed)
+    train_model(model, tr, TrainConfig(lr=0.003, batch=4, phase1_steps=200,
+                                       phase2_steps=200, seed=seed))
+    sq = [mse_metric(model.predict(s, c), s.frames[3:]) for s, c in te]
+    ab = [float(np.mean(np.abs(PIXEL_SCALE * (model.predict(s, c) - s.frames[3:]))))
+          for s, c in te]
+    return float(np.mean(sq)), float(np.mean(ab))
 
 
 @pytest.fixture(scope="module")
 def ablation_results():
-    """Train full / no-modulation / no-memory variants on 3 seeds x 100 events."""
+    """Train full / no-modulation / no-memory variants on 3 seeds x 100 events.
 
-    def dataset(seed, n=100):
-        evs = [generate_event(SyntheticEventConfig(
-            seed=seed * 1000 + i, hw=64, t_in=3, k_out=6, n_blobs=2, cov_hw=16,
-            noise_amp=0.01, advect_range=(1.5, 1.5), turn_range=(0.0, 0.0),
-            growth_range=(0.0, 0.0), direction_modes=2,
-            anisotropy_range=(1.5, 1.5), size_range=(0.08, 0.10))) for i in range(n)]
-        return evs[:80], evs[80:]
-
-    def run_variant(seed, tr, te, pfm, fm):
-        cfg = ModelConfig(t_in=3, k_out=6, hw=64, hidden_hw=16, c_emb=8, depth_l=1,
-                          n_blocks=2, memory_slots=8, enc_channels=(8, 16, 16),
-                          mem_channels=8, lam=0.57, enable_pfm=pfm, enable_fm=fm)
-        model = NowcastModel.initialize(cfg, seed=seed)
-        train_model(model, tr, TrainConfig(lr=0.003, batch=4, phase1_steps=200,
-                                           phase2_steps=200, seed=seed))
-        sq = [mse_metric(model.predict(s, c), s.frames[3:]) for s, c in te]
-        ab = [float(np.mean(np.abs(PIXEL_SCALE * (model.predict(s, c) - s.frames[3:]))))
-              for s, c in te]
-        return float(np.mean(sq)), float(np.mean(ab))
-
-    results = {}
-    for seed in ABLATION_SEEDS:
-        tr, te = dataset(seed)
-        results[seed] = {
-            "full": run_variant(seed, tr, te, True, True),
-            "no_pfm": run_variant(seed, tr, te, False, True),
-            "no_fm": run_variant(seed, tr, te, True, False),
-        }
-    return results
+    The nine trainings share nothing, so they run in two processes; each runs
+    exactly the computation it would run here.  The processes are spawned, not
+    forked, because this process may already hold pool and BLAS threads.
+    """
+    jobs = [(seed, variant) for seed in ABLATION_SEEDS for variant in ABLATION_VARIANTS]
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as ex:
+        scores = dict(zip(jobs, ex.map(ablation_run, *zip(*jobs))))
+    return {seed: {variant: scores[seed, variant] for variant in ABLATION_VARIANTS}
+            for seed in ABLATION_SEEDS}
 
 
 def test_criterion_7a_ablation_modulation_direction(ablation_results):

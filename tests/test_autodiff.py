@@ -377,3 +377,52 @@ def test_nan_in_reverse_sweep_names_op():
     y = Var(np.sqrt(x.value), (x,), vjp, op="sqrt")
     with pytest.raises(ad.AutodiffError, match="sqrt"):
         backward(total(y))
+
+
+def counted(x, calls, op, rule=lambda g: g):
+    """Identity node whose reverse rule applies ``rule`` and counts its runs in ``calls[op]``."""
+    x = ad.as_var(x)
+
+    def vjp(g):
+        calls[op] = calls.get(op, 0) + 1
+        return (rule(g),)
+
+    return Var(x.value, (x,), vjp, op=op)
+
+
+def test_finite_sweep_runs_each_rule_once():
+    calls = {}
+    x = Var(np.array([1.0, -2.0, 3.0]))
+    c = Var(np.array([0.5, 0.5, 0.5]))  # a constant input: a leaf that is not a parameter
+    h = counted(ad.mul(counted(x, calls, "a"), c), calls, "b")
+    loss = total(counted(ad.add(h, counted(h, calls, "c")), calls, "d"))
+    backward(loss)
+    assert calls == {"a": 1, "b": 1, "c": 1, "d": 1}
+    assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
+    assert np.array_equal(c.grad, [2.0, -4.0, 6.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_far_above_the_leaves_names_its_op():
+    """Ops downstream of the bad rule also see NaN; the error names the rule that made it."""
+    calls = {}
+    x = Var(np.array([1.0, 2.0]))
+    h = ad.relu(ad.mul(ad.sigmoid(x), 3.0))
+    bad = counted(h, calls, "bad", rule=lambda g: g * np.nan)
+    loss = total(ad.mul(counted(ad.add(bad, 1.0), calls, "above"), 2.0))
+    with pytest.raises(ad.AutodiffError, match="'bad'"):
+        backward(loss)
+    assert calls == {"above": 2, "bad": 2}  # the unchecked sweep, then the checked replay
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_reaching_only_a_constant_leaf_raises():
+    x = Var(np.array([1.0, 2.0]), op="param:x")  # as model.make_leaves names parameters
+    c = Var(np.array([0.0, 4.0]))  # constant input
+
+    def vjp(g):
+        return g * 2.0, g / np.sqrt(c.value) * 0.0  # 0/0 entry in the constant's gradient
+
+    y = Var(2.0 * x.value, (x, c), vjp, op="split")
+    with pytest.raises(ad.AutodiffError, match="'split'"):
+        backward(total(y))

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from foucast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from foucast.model import ModelConfig, NowcastModel
 from foucast.optim import init_state
 from foucast.synth import SyntheticEventConfig, generate_event
+from foucast.tensorfile import TensorFileError
 from foucast.train import TrainConfig, TrainState, train_model
 
 
@@ -120,12 +122,14 @@ def test_optimizer_moments_that_do_not_fit_are_named(tmp_path, moment, edit):
 
 
 def test_write_is_fsynced_before_it_replaces_the_file(tmp_path, monkeypatch):
-    """The temp file's bytes reach the disk before the rename makes them the checkpoint."""
+    """The temp file's bytes reach the disk before the rename makes them the checkpoint,
+    and the directory is fsynced after it, so the rename is durable too."""
     calls = []
     fsync, replace = os.fsync, Path.replace
 
     def record_fsync(fd):
-        calls.append(("fsync", os.fstat(fd).st_size))
+        st = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else st.st_size))
         fsync(fd)
 
     def record_replace(self, target):
@@ -137,8 +141,24 @@ def test_write_is_fsynced_before_it_replaces_the_file(tmp_path, monkeypatch):
     model = NowcastModel.initialize(micro_cfg(), seed=1)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, init_state(model.params))
-    assert calls == [("fsync", path.stat().st_size), ("replace", "m.ckpt")]
+    assert calls == [
+        ("fsync", path.stat().st_size), ("replace", "m.ckpt"), ("fsync", "directory"),
+    ]
     assert not Path(str(path) + ".tmp").exists()
+
+
+def test_failed_write_leaves_no_temp_file_and_the_old_checkpoint(tmp_path):
+    """A write that fails part-way removes its temp file; the checkpoint at path keeps its bytes."""
+    model = NowcastModel.initialize(micro_cfg(), seed=1)
+    opt = init_state(model.params)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, opt)
+    before = path.read_bytes()
+    opt.m = opt.m.astype(np.int64)  # FCT1 stores float64 and complex128 only
+    with pytest.raises(TensorFileError, match="int64"):
+        save_checkpoint(path, model, opt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+    assert path.read_bytes() == before
 
 
 def resume_from(path, events, tcfg):
