@@ -115,7 +115,8 @@ def backward(loss: Var) -> None:
     Finiteness is checked once, on the gradients of the leaves the sweep reached
     (parameters and constant inputs alike).  If one is non-finite, the sweep is
     replayed with every contribution checked, so the error names the first op
-    whose reverse rule produced a non-finite value.
+    whose reverse rule produced a non-finite value; if every contribution is
+    finite, a leaf's sum overflowed, and that raises too.
     """
     if loss.value.size != 1:
         raise AutodiffError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -138,6 +139,7 @@ def backward(loss: Var) -> None:
     # Only leaves still hold a gradient: interior cotangents are freed once spent.
     if not all(v.grad is None or np.all(np.isfinite(v.grad)) for v in order):
         _sweep(order, check=True)
+        raise AutodiffError("non-finite leaf gradient: finite contributions overflowed in its sum")
 
 
 # ---------------------------------------------------------------------------
@@ -460,26 +462,44 @@ def irfft2_real(z, width: int) -> Var:
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
     c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if k > min(hp, wp):
+        raise AutodiffError(f"kernel {(k, k)} does not fit input {x.shape} padded to {(c, hp, wp)}")
     if pad:
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded = np.zeros((c, hp, wp), dtype=x.dtype)
         padded[:, pad : pad + h, pad : pad + w] = x
         x = padded
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    n_h, n_w = win.shape[1], win.shape[2]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, n_h * n_w)
-    return np.ascontiguousarray(cols), n_h, n_w
+    n_h, n_w = (hp - k) // stride + 1, (wp - k) // stride + 1
+    sc, sh, sw = x.strides
+    win = np.lib.stride_tricks.as_strided(x, (c, k, k, n_h, n_w), (sc, sh, sw, sh * stride, sw * stride))
+    return np.ascontiguousarray(win.reshape(c * k * k, n_h * n_w)), n_h, n_w
 
 
-def _col2im(cols: np.ndarray, c: int, k: int, stride: int, padded_hw: tuple[int, int],
-            n_h: int, n_w: int) -> np.ndarray:
-    buf = np.zeros((c,) + padded_hw)
-    cols = cols.reshape(c, k, k, n_h, n_w)
+def _col2im(wt: np.ndarray, m: np.ndarray, c: int, k: int, stride: int,
+            padded_hw: tuple[int, int]) -> np.ndarray:
+    """Scatter-add ``wt @ m``, an im2col matrix (c*k*k, n_h*n_w), into a (c, H, W) image.
+
+    Pixels go to stride**2 phase buffers by (row, column) remainder.  Zero columns pad the rows
+    of ``m`` to the buffer width, so each tap adds one contiguous run per channel, in (i, j)
+    order from +0.0: bit-identical to strided adds where no GEMM element depends on the column
+    count (OpenBLAS at the model's shapes, as the oracle tests check) and ``wt`` is finite.
+    """
+    hp, wp = padded_hw
+    n_h, n_w = (hp - k) // stride + 1, (wp - k) // stride + 1
+    hq, wq = -(-hp // stride), -(-wp // stride)
+    width = wq if n_h > 1 else n_w  # one output row needs no gaps (and a 1x1 output stays a GEMV)
+    m = m.reshape(-1, n_h, n_w)
+    if width != n_w:
+        m = np.concatenate([m, np.zeros((len(m), n_h, width - n_w))], axis=2)
+    run = n_h * width
+    taps = (wt @ m.reshape(-1, run)).reshape(c, k, k, run)
+    phases = np.zeros((stride, stride, c, (hq + 1) * wq))  # a spare row for the wrap
     for i in range(k):
         for j in range(k):
-            buf[:, i : i + stride * (n_h - 1) + 1 : stride,
-                j : j + stride * (n_w - 1) + 1 : stride] += cols[:, i, j]
-    return buf
+            off = (i // stride) * wq + j // stride
+            phases[i % stride, j % stride, :, off : off + run] += taps[:, i, j]
+    grid = phases.reshape(stride, stride, c, hq + 1, wq)[:, :, :, :hq].transpose(2, 3, 0, 4, 1)
+    return grid.reshape(c, hq * stride, wq * stride)[:, :hp, :wp]
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Var:
@@ -495,9 +515,9 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Var:
 
     def vjp(g):
         g2 = g.reshape(cout, n_h * n_w)
-        gw = (g2 @ cols.T).reshape(w.value.shape)
-        gcols = w2.T @ g2
-        gx = _col2im(gcols, cin, k, stride, (h + 2 * pad, ww + 2 * pad), n_h, n_w)
+        # im2col rebuilt from x: the tape keeps the input, not its k*k-fold copy
+        gw = (g2 @ _im2col(x.value, k, stride, pad)[0].T).reshape(w.value.shape)
+        gx = _col2im(w2.T, g, cin, k, stride, (h + 2 * pad, ww + 2 * pad))
         if pad:
             gx = gx[:, pad:-pad, pad:-pad]
         return gx, gw, g.sum(axis=(1, 2))
@@ -519,8 +539,7 @@ def conv2d_transpose(x, w, b, stride: int = 1, pad: int = 0) -> Var:
     wp = stride * (ww - 1) + k
     w2 = w.value.reshape(cin, cout * k * k)
     x2 = x.value.reshape(cin, h * ww)
-    cols = w2.T @ x2
-    full = _col2im(cols, cout, k, stride, (hp, wp), h, ww)
+    full = _col2im(w2.T, x.value, cout, k, stride, (hp, wp))
     out = full[:, pad : hp - pad, pad : wp - pad] + b.value[:, None, None]
 
     def vjp(g):

@@ -110,7 +110,7 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     Each sample is one ``fan_out`` task (sized by ``step_workers``) that builds a
     graph on its own leaves over the shared arrays and sweeps it if its loss is
     finite, so a step holds one live tape per worker; a non-finite batch loss
-    raises before the optimizer moves.  Gradients are summed last sample first,
+    or summed gradient raises before the optimizer moves.  Gradients are summed last sample first,
     the order of one shared graph's sweep, so the step does not depend on the
     pool size.
     """
@@ -143,6 +143,8 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     for _, earlier in reversed(per_sample[:-1]):
         for name, g in grads:
             g += earlier[name]
+    if not all(np.all(np.isfinite(g)) for _, g in grads):
+        raise TrainError(f"non-finite gradient at step {step}")
 
     frozen = frozenset({"memory.slots"}) if phase == 2 else frozenset()
     model.params, state.opt = adamw_step(model.params, grads, state.opt, frozen=frozen)

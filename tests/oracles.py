@@ -8,6 +8,9 @@ kept here too: the library applies it separably.  Transforms here call
 ``np.fft`` directly, so a wrong Hermitian expansion in the library does not
 cancel out.  The resize reference samples each 2-D slice with
 ``scipy.ndimage.map_coordinates``, where the library builds weight matrices.
+The convolution references unfold with ``sliding_window_view`` and fold back
+with one strided add per tap, where the library uses one strided view and one
+contiguous run per tap.
 """
 
 import numpy as np
@@ -182,3 +185,45 @@ def numpy_hidden_composition(h, cov_emb, f_match, params, cfg):
         z = afno_apply(z, params[f"{name}.w1"], params[f"{name}.w2"],
                        params[f"{name}.b1"], params[f"{name}.b2"])
     return np.fft.irfft2(z, s=(cfg.hidden_hw, cfg.hidden_hw), axes=(0, 1))
+
+
+def sliding_im2col(x, k, stride, pad):
+    """(c*k*k, n_h*n_w) patch matrix of a (c, h, w) array, and (n_h, n_w)."""
+    c = x.shape[0]
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    n_h, n_w = win.shape[1], win.shape[2]
+    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, n_h * n_w)), n_h, n_w
+
+
+def strided_col2im(cols, c, k, stride, padded_hw, n_h, n_w):
+    """Fold a patch matrix back into a (c, H, W) image: one strided add per tap, in (i, j) order."""
+    buf = np.zeros((c,) + tuple(padded_hw))
+    cols = cols.reshape(c, k, k, n_h, n_w)
+    for i in range(k):
+        for j in range(k):
+            buf[:, i : i + stride * (n_h - 1) + 1 : stride,
+                j : j + stride * (n_w - 1) + 1 : stride] += cols[:, i, j]
+    return buf
+
+
+def conv2d_reference(x, w, b, g, stride, pad):
+    """Forward value and (gx, gw, gb) of a convolution, by explicit im2col GEMMs."""
+    cout, cin, k, _ = w.shape
+    cols, n_h, n_w = sliding_im2col(x, k, stride, pad)
+    w2 = w.reshape(cout, cin * k * k)
+    out = (w2 @ cols).reshape(cout, n_h, n_w) + b[:, None, None]
+    g2 = g.reshape(cout, n_h * n_w)
+    h, wd = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
+    gx = strided_col2im(w2.T @ g2, cin, k, stride, (h, wd), n_h, n_w)
+    return out, (gx[:, pad : h - pad, pad : wd - pad], (g2 @ cols.T).reshape(w.shape), g.sum(axis=(1, 2)))
+
+
+def conv2d_transpose_reference(x, w, b, stride, pad):
+    """Forward value of a transposed convolution: scatter of the input's GEMM columns."""
+    cin, cout, k, _ = w.shape
+    _, h, wd = x.shape
+    hp, wp = stride * (h - 1) + k, stride * (wd - 1) + k
+    cols = w.reshape(cin, cout * k * k).T @ x.reshape(cin, h * wd)
+    full = strided_col2im(cols, cout, k, stride, (hp, wp), h, wd)
+    return full[:, pad : hp - pad, pad : wp - pad] + b[:, None, None]

@@ -1,10 +1,16 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import oracles
 from foucast import autodiff as ad
 from foucast.autodiff import Var, backward, no_grad
+from foucast.model import ModelConfig, forward_tape, init_params, make_leaves
 from foucast.params import ParamSet
+from foucast.pool import one_blas_thread
+from foucast.synth import N_COV_CHANNELS
 from gradcheck import grad_check, total
 
 
@@ -333,6 +339,102 @@ def test_conv2d_transpose_output_size():
     assert y.value.shape == (1, 32, 32)
 
 
+PAPER_DEFAULT = ModelConfig()
+ABLATION = ModelConfig(t_in=3, k_out=6, hw=64, hidden_hw=16, c_emb=8, depth_l=1, n_blocks=2,
+                       memory_slots=8, enc_channels=(8, 16, 16), mem_channels=8)
+
+
+def model_conv_calls(cfg):
+    """(op, input shape, weight shape, stride, pad) of every conv in one forward pass of ``cfg``."""
+    calls = set()
+    rng = np.random.default_rng(0)
+    leaves = make_leaves(init_params(cfg, rng))
+    with pytest.MonkeyPatch.context() as mp, no_grad():
+        for op in ("conv2d", "conv2d_transpose"):
+            def record(x, w, b, stride=1, pad=0, _op=op, _fn=getattr(ad, op)):
+                calls.add((_op, x.value.shape, w.value.shape, stride, pad))
+                return _fn(x, w, b, stride=stride, pad=pad)
+            mp.setattr(ad, op, record)
+        forward_tape(leaves, cfg, rng.random((cfg.t_in, 1, cfg.hw, cfg.hw)),
+                     rng.random((cfg.k_out, N_COV_CHANNELS, cfg.hidden_hw, cfg.hidden_hw)))
+    return sorted(calls)
+
+
+def small_conv_calls():
+    """k in {1, 3, 4}, stride in {1, 2}, pad in {0, 1}; spans that the stride does not divide,
+    and outputs of one row or one pixel."""
+    calls = []
+    for k in (1, 3, 4):
+        for stride in (1, 2):
+            for pad in (0, 1):
+                for h, w in ((5, 6), (6, 7), (7, 5), (k, 8), (k, k + 1)):
+                    calls.append(("conv2d", (3, h, w), (2, 3, k, k), stride, pad))
+                    if stride * (h - 1) + k > 2 * pad:
+                        calls.append(("conv2d_transpose", (3, h, w), (3, 2, k, k), stride, pad))
+    calls.append(("conv2d", (1, 5, 5), (2, 1, 1, 1), 1, 0))
+    return calls
+
+
+def transposed_copy(a):
+    """``a`` with the same values in a non-contiguous layout (last two axes swapped in memory)."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def check_conv_call(call, rng):
+    op, x_shape, w_shape, stride, pad = call
+    x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[1] if op == "conv2d_transpose" else w_shape[0])
+    cols = ad._im2col(x, w_shape[2], stride, pad)[0]
+    assert np.array_equal(cols, oracles.sliding_im2col(x, w_shape[2], stride, pad)[0]), call
+    for xin in (x, transposed_copy(x)):
+        y = getattr(ad, op)(xin, w, b, stride=stride, pad=pad)
+        if op == "conv2d":
+            g = rng.standard_normal(y.value.shape)
+            want, want_grads = oracles.conv2d_reference(x, w, b, g, stride, pad)
+            assert all(np.array_equal(u, v) for u, v in zip(y._vjp(g), want_grads)), call
+        else:
+            want = oracles.conv2d_transpose_reference(x, w, b, stride, pad)
+        assert np.array_equal(y.value, want), call
+
+
+@pytest.mark.parametrize("blas", ["default", "one thread"])
+def test_conv_kernels_equal_references_at_model_shapes(blas):
+    calls = model_conv_calls(PAPER_DEFAULT) + model_conv_calls(ABLATION)
+    assert {c[0] for c in calls} == {"conv2d", "conv2d_transpose"}
+    rng = np.random.default_rng(21)
+    with one_blas_thread() if blas == "one thread" else contextlib.nullcontext():
+        for call in calls:
+            check_conv_call(call, rng)
+
+
+@pytest.mark.parametrize("call", small_conv_calls(), ids=str)
+def test_conv_kernels_equal_references(call):
+    check_conv_call(call, np.random.default_rng(22))
+
+
+def test_conv_kernel_that_does_not_fit_raises():
+    with pytest.raises(ad.AutodiffError, match=r"kernel \(5, 5\) does not fit input \(2, 3, 3\) "
+                                                r"padded to \(2, 3, 3\)"):
+        ad.conv2d(np.zeros((2, 3, 3)), np.zeros((1, 2, 5, 5)), np.zeros(1))
+    with pytest.raises(ad.AutodiffError, match=r"padded to \(1, 4, 6\)"):
+        ad.conv2d(np.zeros((1, 2, 4)), np.zeros((1, 1, 5, 5)), np.zeros(1), pad=1)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_reverse_rule_holds_only_parent_arrays(stride):
+    """A conv node's reverse rule keeps its input, not the k*k-times larger im2col matrix."""
+    rng = np.random.default_rng(24)
+    x = ad.relu(Var(rng.standard_normal((ABLATION.t_in, ABLATION.hw, ABLATION.hw))))
+    w = Var(rng.standard_normal((ABLATION.enc_channels[0], ABLATION.t_in, 3, 3)))
+    y = ad.conv2d(x, w, Var(np.zeros(ABLATION.enc_channels[0])), stride=stride, pad=1)
+    held = [cell.cell_contents for cell in y._vjp.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        assert any(np.shares_memory(a, p.value) for p in y._parents), a.shape
+    assert all(v in y._parents for v in held if isinstance(v, Var))
+
+
 def test_grad_check_linear_is_exact():
     rng = np.random.default_rng(15)
     c = rng.standard_normal(6)
@@ -426,3 +528,12 @@ def test_nan_reaching_only_a_constant_leaf_raises():
     y = Var(2.0 * x.value, (x, c), vjp, op="split")
     with pytest.raises(ad.AutodiffError, match="'split'"):
         backward(total(y))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaf_sum_overflow_raises():
+    """Two finite contributions of 1e308 sum to inf in the leaf: no op to name, still an error."""
+    x = Var(np.zeros(1))
+    loss = total(ad.add(ad.mul(x, 1e308), ad.mul(x, 1e308)))
+    with pytest.raises(ad.AutodiffError, match="overflowed"):
+        backward(loss)

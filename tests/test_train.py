@@ -327,3 +327,28 @@ def test_small_samples_step_on_the_calling_thread(monkeypatch):
     model = NowcastModel.initialize(small, seed=7)
     train_model(model, make_events(small), TrainConfig(batch=3, phase1_steps=1, phase2_steps=1))
     assert threads == [threading.get_ident()] * (2 * 3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_raises_before_the_optimizer_moves(monkeypatch):
+    """A summed batch gradient that is not finite (each sample's may be) stops the step."""
+    from foucast import train
+
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=4)
+    prepared = prepare_events(model, make_events(cfg))
+    tcfg = TrainConfig(lr=0.003, batch=2, phase1_steps=2, phase2_steps=2, seed=4)
+    state = TrainState(model=model, opt=init_state(model.params, lr=tcfg.lr))
+    train_step(state, prepared, tcfg)
+    collect_grads = train.collect_grads
+
+    def overflowing_grads(params, leaves):
+        grads = collect_grads(params, leaves)
+        grads["dec4.b"][0] = 1e308  # finite per sample; two samples sum to inf
+        return grads
+
+    monkeypatch.setattr(train, "collect_grads", overflowing_grads)
+    before = (model.params.to_flat().tobytes(), state.opt.m.tobytes(), state.opt.step)
+    with pytest.raises(TrainError, match="non-finite gradient at step 1"):
+        train_step(state, prepared, tcfg)
+    assert (model.params.to_flat().tobytes(), state.opt.m.tobytes(), state.opt.step) == before
