@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensorfile
 from .model import ModelConfig, NowcastModel, init_params
-from .optim import OptimizerState
+from .optim import OPTIMIZER_SCALARS, OptimizerState
 from .params import ParamSet
 
 FORMAT_VERSION = 1
@@ -33,10 +33,6 @@ FORMAT_VERSION = 1
 
 class CheckpointError(IOError):
     pass
-
-
-# Optimizer scalars stored in the header; the step is stored once, at the top level.
-OPTIMIZER_SCALARS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
 
 def save_checkpoint(path: str | Path, model: NowcastModel, opt: OptimizerState) -> None:

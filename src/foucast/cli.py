@@ -7,10 +7,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .checkpoint import OPTIMIZER_SCALARS, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .evaluate import evaluate_model, write_reports
 from .model import ModelConfig, ModelError, NowcastModel
+from .optim import OPTIMIZER_SCALARS
 from .pool import default_workers, pool_threads
 from .synth import CADENCE_MINUTES, Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
@@ -113,8 +114,10 @@ def cmd_report(args) -> int:
             continue
         any_found = True
         print(f"== {name}")
-        lines = path.read_text().strip().splitlines()
-        cols = [line.split(",") for line in lines]
+        cols = [line.split(",") for line in path.read_text().strip().splitlines()]
+        if not cols or any(len(row) != len(cols[0]) for row in cols):
+            print(f"error: {path} is empty or its rows differ in length", file=sys.stderr)
+            return 2
         widths = [max(len(row[i]) for row in cols) for i in range(len(cols[0]))]
         for row in cols:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))

@@ -86,14 +86,15 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
         ps.add(f"{name}.w", rng.standard_normal((cin, cout, k, k)) * np.sqrt(2.0 / (cin * k * k)))
         ps.add(f"{name}.b", np.zeros(cout))
 
-    c1, c2, c3 = cfg.enc_channels
-    conv("enc1", c1, cfg.t_in, 3)
-    conv("enc2", c2, c1, 3)
-    conv("enc3", c3, c2, 3)
-    conv("enc4", cfg.c_emb, c3, 3)
+    def encoder(prefix, channels):  # the layers _encoder runs
+        for i, (cin, cout) in enumerate(zip(channels, channels[1:]), start=1):
+            conv(f"{prefix}{i}", cout, cin, 3)
+
+    encoder("enc", (cfg.t_in, *cfg.enc_channels, cfg.c_emb))
 
     conv("cov_proj", cfg.c_emb, cfg.k_out * N_COV_CHANNELS, 1)
 
+    c1, c2, c3 = cfg.enc_channels
     conv("dec1", c3, cfg.c_emb, 3)
     convT("dec2", c3, c2, 4)
     convT("dec3", c2, c1, 4)
@@ -102,30 +103,25 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
     ps.add("mod.beta_logit", np.zeros(()))
 
     cm = cfg.mem_channels
-    conv("mem1", cm, MEM_SUMMARY_CHANNELS, 3)
-    conv("mem2", cm, cm, 3)
-    conv("mem3", cm, cm, 3)
-    conv("mem4", cfg.c_emb, cm, 3)
+    encoder("mem", (MEM_SUMMARY_CHANNELS, cm, cm, cm, cfg.c_emb))
     phases = rng.uniform(-np.pi, np.pi, size=(cfg.memory_slots, cfg.c_emb))
     ps.add("memory.slots", np.exp(1j * phases))
 
-    def afno_params(name, c_in, c_out):
-        nb = cfg.n_blocks
-        ib, ob = c_in // nb, c_out // nb
-        scale1 = 1.0 / np.sqrt(2.0 * ib)
-        scale2 = 1.0 / np.sqrt(2.0 * ib)
-        ps.add(f"{name}.w1", scale1 * (rng.standard_normal((nb, ib, ib)) + 1j * rng.standard_normal((nb, ib, ib))))
-        ps.add(f"{name}.w2", scale2 * (rng.standard_normal((nb, ob, ib)) + 1j * rng.standard_normal((nb, ob, ib))))
-        ps.add(f"{name}.b1", np.zeros((nb, ib), dtype=np.complex128))
-        ps.add(f"{name}.b2", np.zeros((nb, ob), dtype=np.complex128))
+    def afno_params(name):  # square blocks: c_emb channels in and out
+        nb, ib = cfg.n_blocks, cfg.c_emb // cfg.n_blocks
+        scale = 1.0 / np.sqrt(2.0 * ib)
+        for w in ("w1", "w2"):
+            ps.add(f"{name}.{w}", scale * (rng.standard_normal((nb, ib, ib)) + 1j * rng.standard_normal((nb, ib, ib))))
+        for b in ("b1", "b2"):
+            ps.add(f"{name}.{b}", np.zeros((nb, ib), dtype=np.complex128))
 
-    afno_params("align", cfg.c_emb, cfg.c_emb)
+    afno_params("align")
     for layer in range(cfg.depth_l):
         hh, wf, c = cfg.hidden_hw, cfg.wf, cfg.c_emb
         noise = 0.02 * (rng.standard_normal((hh, wf, c)) + 1j * rng.standard_normal((hh, wf, c)))
         ps.add(f"blk{layer}.attn", np.ones((hh, wf, c), dtype=np.complex128) + noise)
         ps.add(f"blk{layer}.gate", np.full(c, 0.1))
-        afno_params(f"blk{layer}.afno", cfg.c_emb, cfg.c_emb)
+        afno_params(f"blk{layer}.afno")
     return ps
 
 
@@ -172,15 +168,18 @@ def _conv_relu(x: Var, leaves, name: str, stride: int = 1, pad: int = 1, act: bo
     return ad.relu(y) if act else y
 
 
+def _encoder(x: Var, leaves, prefix: str) -> Var:
+    """``{prefix}1..4``: 3x3 convs at strides 1, 2, 2, 1, with a ReLU after all but the last."""
+    for i, stride in enumerate((1, 2, 2, 1), start=1):
+        x = _conv_relu(x, leaves, f"{prefix}{i}", stride=stride, act=i < 4)
+    return x
+
+
 def encode_tape(frames: np.ndarray, leaves, cfg: ModelConfig) -> Var:
     """Radar encoder: (T, 1, hw, hw) frames to a (c_emb, hidden, hidden) map."""
     if frames.shape != (cfg.t_in, 1, cfg.hw, cfg.hw):
         raise ModelError(f"input frames {frames.shape} != {(cfg.t_in, 1, cfg.hw, cfg.hw)}")
-    x = Var(frames.reshape(cfg.t_in, cfg.hw, cfg.hw), op="input")
-    h = _conv_relu(x, leaves, "enc1")
-    h = _conv_relu(h, leaves, "enc2", stride=2)
-    h = _conv_relu(h, leaves, "enc3", stride=2)
-    return _conv_relu(h, leaves, "enc4", act=False)
+    return _encoder(Var(frames.reshape(cfg.t_in, cfg.hw, cfg.hw), op="input"), leaves, "enc")
 
 
 def decode_tape(h: Var, leaves, cfg: ModelConfig) -> Var:
@@ -209,11 +208,7 @@ def mem_encode_tape(frames: np.ndarray, leaves, cfg: ModelConfig) -> Var:
     """
     flat = frames.reshape(frames.shape[0], cfg.hw, cfg.hw)
     summary = np.stack([flat.mean(axis=0), flat[-1], flat[-1] - flat[0]])
-    x = Var(summary, op="mem_summary")
-    h = _conv_relu(x, leaves, "mem1")
-    h = _conv_relu(h, leaves, "mem2", stride=2)
-    h = _conv_relu(h, leaves, "mem3", stride=2)
-    h = _conv_relu(h, leaves, "mem4", act=False)
+    h = _encoder(Var(summary, op="mem_summary"), leaves, "mem")
     return ad.rfft2(ad.transpose(h, (1, 2, 0)))
 
 
@@ -320,12 +315,6 @@ def hidden_forward_tape(
     return ad.irfft2_real(f_hid, cfg.hidden_hw)
 
 
-@dataclass
-class ForwardTrace:
-    query_source: str            # "gt", "input", or "none"
-    alpha: np.ndarray | None = None
-
-
 def forward_tape(
     leaves: dict[str, Var],
     cfg: ModelConfig,
@@ -333,7 +322,7 @@ def forward_tape(
     cov_aligned: np.ndarray | None,
     phase: int = 2,
     gt_frames: np.ndarray | None = None,
-) -> tuple[Var, ForwardTrace]:
+) -> Var:
     """Full forward pass on the tape; returns (K, 1, hw, hw) predictions.
 
     ``phase`` selects the memory query route: 1 queries with the ground-truth
@@ -352,7 +341,6 @@ def forward_tape(
         cov_emb = ad.transpose(embed_covariates_tape(cov_aligned, leaves, cfg), (1, 2, 0))
 
     f_match = None
-    trace = ForwardTrace(query_source="none")
     if cfg.enable_fm:
         if phase == 1:
             if gt_frames is None:
@@ -363,18 +351,14 @@ def forward_tape(
                     f"got {gt_frames.shape[0]}"
                 )
             query = mem_encode_tape(gt_frames, leaves, cfg)
-            trace.query_source = "gt"
         else:
             query = afno_tape(
                 mem_encode_tape(input_frames, leaves, cfg), leaves, "align", cfg
             )
-            trace.query_source = "input"
-        alpha, f_match = memory_match_tape(query, leaves["memory.slots"])
-        trace.alpha = alpha.value
+        _, f_match = memory_match_tape(query, leaves["memory.slots"])
 
     h_out = hidden_forward_tape(h_spatial, cov_emb, f_match, leaves, cfg)
-    pred = decode_tape(ad.transpose(h_out, (2, 0, 1)), leaves, cfg)
-    return pred, trace
+    return decode_tape(ad.transpose(h_out, (2, 0, 1)), leaves, cfg)
 
 
 def loss_tape(pred: Var, gt_frames: np.ndarray, lam: float) -> Var:
@@ -419,7 +403,4 @@ class NowcastModel:
         inputs = seq.frames[: self.cfg.t_in]
         cov_aligned = self.align_covariates(cov) if self.cfg.enable_pfm else None
         with ad.no_grad():
-            pred, _ = forward_tape(
-                make_leaves(self.params), self.cfg, inputs, cov_aligned, phase=2
-            )
-        return pred.value
+            return forward_tape(make_leaves(self.params), self.cfg, inputs, cov_aligned, phase=2).value

@@ -1,13 +1,13 @@
 """AdamW over the flat real view of a ParamSet.
 
 Moments live on the flat vector, so complex parameters are optimized as
-independent (re, im) coordinates.  Frozen parameters are skipped entirely:
-values are carried over bit-exactly and their moments are not advanced.
+independent (re, im) coordinates.  Frozen parameters keep their values and
+moments bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,19 +26,14 @@ class OptimizerState:
     weight_decay: float = 0.01
 
 
-def init_state(
-    theta: ParamSet,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.01,
-) -> OptimizerState:
-    n = theta.size
-    return OptimizerState(
-        m=np.zeros(n), v=np.zeros(n), step=0, lr=lr,
-        beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-    )
+_NAMES = [f.name for f in fields(OptimizerState)]
+# The AdamW scalars, every field after the step, in checkpoint-header order.
+OPTIMIZER_SCALARS = tuple(_NAMES[_NAMES.index("step") + 1 :])
+
+
+def init_state(theta: ParamSet, **scalars: float) -> OptimizerState:
+    """Zero moments for ``theta``; ``scalars`` override OptimizerState's defaults."""
+    return OptimizerState(m=np.zeros(theta.size), v=np.zeros(theta.size), **scalars)
 
 
 def adamw_step(
@@ -53,22 +48,16 @@ def adamw_step(
     if g.shape != flat.shape:
         raise ValueError(f"gradient size {g.shape} does not match parameters {flat.shape}")
 
-    live = np.ones(flat.size, dtype=bool)
+    t = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    new_flat = flat - state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * flat)
+
     slices = theta.flat_slices()
     for name in frozen:
-        live[slices[name]] = False
-
-    t = state.step + 1
-    m = state.m.copy()
-    v = state.v.copy()
-    m[live] = state.beta1 * m[live] + (1.0 - state.beta1) * g[live]
-    v[live] = state.beta2 * v[live] + (1.0 - state.beta2) * g[live] ** 2
-    m_hat = m[live] / (1.0 - state.beta1**t)
-    v_hat = v[live] / (1.0 - state.beta2**t)
-
-    new_flat = flat.copy()
-    new_flat[live] -= state.lr * (
-        m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * flat[live]
-    )
+        sl = slices[name]
+        new_flat[sl], m[sl], v[sl] = flat[sl], state.m[sl], state.v[sl]
 
     return theta.from_flat(new_flat), replace(state, m=m, v=v, step=t)

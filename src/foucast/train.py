@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import EPS_UNIT, ModelConfig, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
-from .optim import OptimizerState, adamw_step, init_state
+from .optim import OPTIMIZER_SCALARS, OptimizerState, adamw_step, init_state
 from .pool import default_workers, fan_out, pool_threads
 from .synth import CovariateGrid, RadarSequence
 
@@ -31,20 +31,22 @@ class TrainError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.001
+    lr: float = OptimizerState.lr
     batch: int = 2
     phase1_steps: int = 100
     phase2_steps: int = 300
     seed: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    weight_decay: float = OptimizerState.weight_decay
+    beta1: float = OptimizerState.beta1
+    beta2: float = OptimizerState.beta2
+    eps: float = OptimizerState.eps
 
     def validate(self) -> None:
         for f in fields(self):
             if not (value := getattr(self, f.name)) >= 0:  # NaN fails as well
                 raise TrainError(f"{f.name} = {value} must be nonnegative")
+            if not np.isfinite(value):
+                raise TrainError(f"{f.name} = {value} must be finite")
         if self.batch < 1 or self.lr <= 0:
             raise TrainError("batch must be >= 1 and lr positive")
 
@@ -124,7 +126,7 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     def sample(i):
         ev = prepared[i]
         leaves = make_leaves(model.params)
-        pred, _ = forward_tape(
+        pred = forward_tape(
             leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
             gt_frames=ev.frames if phase == 1 else None,
         )
@@ -135,7 +137,10 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
         return sample_loss.value, collect_grads(model.params, leaves)
 
     workers, _ = step_workers(cfg, default_workers(), len(idx))
-    per_sample = fan_out(sample, idx, workers)
+    try:
+        per_sample = fan_out(sample, idx, workers)
+    except ad.AutodiffError as exc:  # e.g. a forward pass that overflows after a diverged step
+        raise TrainError(f"step {step}: {exc}") from exc
     loss_value = float(sum(value for value, _ in per_sample) * scale)
     if not np.isfinite(loss_value):
         raise TrainError(f"non-finite loss {loss_value} at step {step}")
@@ -166,10 +171,7 @@ def train_model(
     if not events:
         raise TrainError("no training events")
     if state is None:
-        opt = init_state(
-            model.params, lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2,
-            eps=tcfg.eps, weight_decay=tcfg.weight_decay,
-        )
+        opt = init_state(model.params, **{key: getattr(tcfg, key) for key in OPTIMIZER_SCALARS})
         state = TrainState(model=model, opt=opt)
     prepared = prepare_events(model, events)
 

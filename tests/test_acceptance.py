@@ -285,8 +285,8 @@ def test_criterion_4_gradient_suite():
     aligned = regrid(cov, np.arange(1, 3) * CADENCE_MINUTES, (4, 4))
     for phase in (1, 2):
         def f_model(leaves, phase=phase):
-            pred, _ = forward_tape(leaves, cfg, seq.frames[:2], aligned, phase=phase,
-                                   gt_frames=seq.frames if phase == 1 else None)
+            pred = forward_tape(leaves, cfg, seq.frames[:2], aligned, phase=phase,
+                                gt_frames=seq.frames if phase == 1 else None)
             return loss_tape(pred, seq.frames[2:], cfg.lam)
 
         worst = max(worst, _fd(f_model, model.params))
@@ -329,21 +329,30 @@ def test_criterion_5_two_phase_protocol():
                         state=state)
     frozen_ok = model.params["memory.slots"].tobytes() == snapshot
 
-    # query routing instrumentation
-    leaves = make_leaves(model.params)
-    aligned = model.align_covariates(events[0][1])
-    with no_grad():
-        _, tr1 = forward_tape(leaves, cfg, events[0][0].frames[:2], aligned,
-                              phase=1, gt_frames=events[0][0].frames)
-        _, tr2 = forward_tape(leaves, cfg, events[0][0].frames[:2], aligned, phase=2)
-    routing_ok = tr1.query_source == "gt" and tr2.query_source == "input"
+    # query routing, on a fresh model: the trained one's forecast has gone constant
+    fresh = NowcastModel.initialize(cfg, seed=0)
+    seq, cov = events[0]
+    aligned = fresh.align_covariates(cov)
+    replaced = seq.frames.copy()
+    replaced[cfg.t_in :] = 1.0 - replaced[cfg.t_in :]
+    preds, align_grads = [], []
+    for phase, gt in ((1, seq.frames), (1, replaced), (2, None)):
+        leaves = make_leaves(fresh.params)
+        pred = forward_tape(leaves, cfg, seq.frames[: cfg.t_in], aligned, phase=phase,
+                            gt_frames=gt)
+        ad.backward(loss_tape(pred, seq.frames[cfg.t_in :], cfg.lam))
+        preds.append(pred.value)
+        align_grads.append(leaves["align.w1"].grad)
+    routing_ok = (not np.array_equal(preds[0], preds[1]) and align_grads[0] is None
+                  and align_grads[1] is None and align_grads[2] is not None
+                  and bool(np.any(align_grads[2] != 0)))
 
     ok = moved and drift < 1e-9 and frozen_ok and routing_ok and state.step == 106
     announce(
         "5 two-phase-protocol", ok,
         f"phase-1 slots moved={moved} with unit drift {drift:.2e} (<1e-9); "
         f"bank bytes identical across 100 phase-2 steps={frozen_ok}; "
-        f"query routing gt/input={routing_ok}",
+        f"query routing (future frames move phase 1, only phase 2 reaches align)={routing_ok}",
     )
 
 

@@ -129,21 +129,48 @@ def test_config_model_counts_must_be_positive(tmp_path, capsys, old, new, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,old,new,key", [
-    ("train", "seed = 0", "seed = -1", "seed = -1"),
-    ("train", "phase1_steps = 2", "phase1_steps = -3", "phase1_steps = -3"),
-    ("train", "seed = 0", "seed = 0\nweight_decay = -0.01", "weight_decay = -0.01"),
-    ("train", "lr = 0.002", "lr = nan", "lr = nan"),
-    ("data", "n_blobs = 2", "n_blobs = 2\nseed = -3", "seed = -3"),
+@pytest.mark.parametrize("section,old,new,key,rule", [
+    ("train", "seed = 0", "seed = -1", "seed = -1", "nonnegative"),
+    ("train", "phase1_steps = 2", "phase1_steps = -3", "phase1_steps = -3", "nonnegative"),
+    ("train", "seed = 0", "seed = 0\nweight_decay = -0.01", "weight_decay = -0.01", "nonnegative"),
+    ("train", "lr = 0.002", "lr = nan", "lr = nan", "nonnegative"),
+    ("train", "lr = 0.002", "lr = inf", "lr = inf", "finite"),
+    ("train", "seed = 0", "seed = 0\nweight_decay = inf", "weight_decay = inf", "finite"),
+    ("data", "n_blobs = 2", "n_blobs = 2\nseed = -3", "seed = -3", "nonnegative"),
 ])
-def test_config_negative_seeds_and_steps_rejected(tmp_path, capsys, section, old, new, key):
-    """A negative seed, step count or weight decay, or a NaN rate, fails at load, not mid-run."""
+def test_config_negative_seeds_and_steps_rejected(tmp_path, capsys, section, old, new, key, rule):
+    """A negative seed, step count or weight decay, or a NaN or infinite rate, fails at load,
+    not mid-run."""
     ini = write_ini(tmp_path / "c.ini")
     ini.write_text(ini.read_text().replace(old, new))
-    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be nonnegative")):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be {rule}")):
         load_config(ini)
     assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "d")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_diverged_step_names_its_step(tmp_path, capsys):
+    """A finite but huge rate drives step 0's parameters to about 1e300; step 1's forward pass
+    overflows, and the run stops with exit 2 and the step, not a traceback."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace("lr = 0.002", "lr = 1e300"))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: step 1: " in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("text", ["", "model,mse\npfm,1.0,extra\n"])
+def test_report_rejects_empty_or_ragged_csv(tmp_path, capsys, text):
+    (tmp_path / "metrics_pixel.csv").write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'metrics_pixel.csv'} is empty or its rows differ in length" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])

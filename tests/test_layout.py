@@ -118,8 +118,6 @@ def attribute_reads(tree: ast.Module) -> set[tuple[str, str | None, str | None]]
 # Fields that only a reader outside src/ or a planned reader needs, each with that reader.
 UNREAD_FIELDS_ALLOWED = {
     ("Manifest", "path"),  # perfbench/workloads.py puts its checkpoint and reports beside it
-    ("ForwardTrace", "query_source"),  # ROADMAP item 1: training observability
-    ("ForwardTrace", "alpha"),  # ROADMAP item 1: memory-attention entropy and slot usage
 }
 
 

@@ -276,20 +276,29 @@ def test_forward_full_scale_shape():
 
 
 def test_phase_routing_tags_and_validation():
+    """Phase 1 queries the memory with the ground-truth sequence, phase 2 with the inputs
+    through the align block: the future frames move the phase-1 forecast, and only the
+    phase-2 backward reaches align.w1."""
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=3)
     seq, cov = micro_batch(cfg, seed=5)
-    leaves = make_leaves(model.params)
     aligned = model.align_covariates(cov)
     inputs = seq.frames[: cfg.t_in]
+    replaced = seq.frames.copy()
+    replaced[cfg.t_in :] = 1.0 - replaced[cfg.t_in :]
 
-    with no_grad():
-        _, tr1 = forward_tape(leaves, cfg, inputs, aligned, phase=1, gt_frames=seq.frames)
-        _, tr2 = forward_tape(leaves, cfg, inputs, aligned, phase=2)
-    assert tr1.query_source == "gt"
-    assert tr2.query_source == "input"
-    assert tr1.alpha.shape == (cfg.hidden_hw, cfg.wf, cfg.memory_slots)
+    preds, align_grads = [], []
+    for phase, gt in ((1, seq.frames), (1, replaced), (2, None)):
+        leaves = make_leaves(model.params)
+        pred = forward_tape(leaves, cfg, inputs, aligned, phase=phase, gt_frames=gt)
+        backward(loss_tape(pred, seq.frames[cfg.t_in :], cfg.lam))
+        preds.append(pred.value)
+        align_grads.append(leaves["align.w1"].grad)
+    assert not np.array_equal(preds[0], preds[1])
+    assert align_grads[0] is None and align_grads[1] is None
+    assert align_grads[2] is not None and np.any(align_grads[2] != 0)
 
+    leaves = make_leaves(model.params)
     with pytest.raises(ModelError):
         forward_tape(leaves, cfg, inputs, aligned, phase=1)  # missing gt
     with pytest.raises(ModelError):
@@ -316,7 +325,7 @@ def test_gradient_reaches_every_parameter_group():
     seq, cov = micro_batch(cfg, seed=8)
     leaves = make_leaves(model.params)
     aligned = model.align_covariates(cov)
-    pred, _ = forward_tape(leaves, cfg, seq.frames[: cfg.t_in], aligned, phase=2)
+    pred = forward_tape(leaves, cfg, seq.frames[: cfg.t_in], aligned, phase=2)
     loss = loss_tape(pred, seq.frames[cfg.t_in :], lam=cfg.lam)
     backward(loss)
     grads = collect_grads(model.params, leaves)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from foucast.optim import adamw_step, init_state
+from foucast.optim import OPTIMIZER_SCALARS, OptimizerState, adamw_step, init_state
 from foucast.params import ParamSet
+from foucast.train import TrainConfig
 from gradcheck import label
 
 
@@ -84,6 +85,35 @@ def test_frozen_params_bit_exact_and_moments_untouched():
     assert ps["m"].tobytes() == before
     assert np.all(state.m[3:] == 0.0) and np.all(state.v[3:] == 0.0)
     assert not np.array_equal(ps["w"], rng.standard_normal(3))
+
+
+def test_frozen_slice_keeps_warm_moments_and_live_slice_matches_unfrozen_step():
+    rng = np.random.default_rng(9)
+    ps = ParamSet({"w": rng.standard_normal(3), "m": rng.standard_normal(4)})
+    state = init_state(ps)
+    for _ in range(3):  # nonzero moments before the freeze
+        ps, state = adamw_step(ps, ParamSet({"w": np.sin(ps["w"]), "m": np.cos(ps["m"])}), state)
+    g = ParamSet({"w": np.sin(ps["w"]), "m": np.cos(ps["m"])})
+    frozen_ps, frozen_state = adamw_step(ps, g, state, frozen={"m"})
+    free_ps, free_state = adamw_step(ps, g, state)
+    assert np.array_equal(frozen_ps["m"], ps["m"])
+    assert np.array_equal(frozen_state.m[3:], state.m[3:])
+    assert np.array_equal(frozen_state.v[3:], state.v[3:])
+    assert np.array_equal(frozen_ps["w"], free_ps["w"])
+    assert np.array_equal(frozen_state.m[:3], free_state.m[:3])
+    assert np.array_equal(frozen_state.v[:3], free_state.v[:3])
+
+
+def test_optimizer_scalars_keep_checkpoint_header_order():
+    """The checkpoint header writes the scalars in this order, so it fixes the file's bytes."""
+    assert OPTIMIZER_SCALARS == ("lr", "beta1", "beta2", "eps", "weight_decay")
+
+
+def test_adamw_settings_default_to_optimizer_state():
+    state = init_state(ParamSet({"w": np.zeros(2)}), lr=0.5, beta1=0.8)
+    assert (state.lr, state.beta1, state.beta2) == (0.5, 0.8, OptimizerState.beta2)
+    tcfg = TrainConfig()
+    assert all(getattr(tcfg, key) == getattr(OptimizerState, key) for key in OPTIMIZER_SCALARS)
 
 
 def test_shape_mismatch_rejected():

@@ -164,8 +164,8 @@ def test_step_gradient_equals_one_shared_graph(monkeypatch, phase):
     with pool.one_blas_thread():
         for i in train.batch_indices(tcfg.seed, 0, len(prepared), tcfg.batch):
             ev = prepared[i]
-            pred, _ = forward_tape(leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned,
-                                   phase=phase, gt_frames=ev.frames if phase == 1 else None)
+            pred = forward_tape(leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned,
+                                phase=phase, gt_frames=ev.frames if phase == 1 else None)
             sample_loss = loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
             total = sample_loss if total is None else ad.add(total, sample_loss)
         loss = ad.mul(total, 1.0 / tcfg.batch)
