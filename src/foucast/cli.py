@@ -7,6 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .autodiff import AutodiffError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .evaluate import evaluate_model, write_reports
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SynthError, ModelError, TrainError,
+    except (ConfigError, SynthError, ModelError, TrainError, AutodiffError,
             CheckpointError, TensorFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .model import ModelConfig
 from .pool import ConfigError
-from .synth import SynthError, SyntheticEventConfig
+from .synth import SyntheticEventConfig
 from .train import TrainConfig, TrainError
 
 DEFAULT_THRESHOLDS = (16.0, 74.0, 133.0, 160.0, 181.0, 219.0)
@@ -27,11 +27,27 @@ class DataConfig:
     # the generator's settings; its seed and grid come from seed and [model]
     synth: SyntheticEventConfig = field(default_factory=SyntheticEventConfig)
 
+    def validate(self) -> None:
+        if not 0.0 <= self.train_frac <= 1.0:
+            raise ConfigError("train_frac must lie in [0, 1]")
+        if self.n_events < 0:
+            raise ConfigError("n_events must be nonnegative")
+
 
 @dataclass
 class EvalConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    model_tag: str = ""
+    model_tag: str = ""  # the first column of every metric CSV row
+
+    def validate(self) -> None:
+        for i, th in enumerate(self.thresholds):
+            if not 0.0 <= th <= 255.0:
+                raise ConfigError(f"thresholds entry {th} outside [0, 255]")
+            if th in self.thresholds[:i]:
+                raise ConfigError(f"thresholds entry {th} appears more than once")
+        if any(c in self.model_tag for c in ",\r\n"):
+            raise ConfigError(f"model_tag = {self.model_tag!r} must not contain a comma "
+                              "or line break")
 
 
 @dataclass
@@ -93,43 +109,28 @@ class _Section:
 
     def leftovers(self):
         if self.values:
-            key = sorted(self.values)[0]
-            raise ConfigError(f"unknown key [{self.name}] {key}")
+            raise ConfigError(f"unknown key [{self.name}] {min(self.values)}")
 
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _pair(raw: str) -> tuple[float, float]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if len(parts) != 2:
-        raise ValueError(f"expected two numbers, got {raw!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _floats(raw: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _three_ints(raw: str) -> tuple[int, int, int]:
-    vals = tuple(int(p) for p in raw.replace(",", " ").split() if p)
-    if len(vals) != 3:
-        raise ValueError("needs exactly three values")
-    return vals
+def _numbers(cast, count: int | None = None):
+    """Parser of a comma- or space-separated list of ``count`` (else >= 1) ``cast`` values."""
+    def parse(raw: str) -> tuple:
+        vals = tuple(cast(p) for p in raw.replace(",", " ").split())
+        if not vals or count and len(vals) != count:
+            raise ValueError(f"needs exactly {count} values" if count else "empty list")
+        return vals
+    return parse
 
 
 def _modules(raw: str) -> set[str]:
-    cleaned = raw.strip().strip("{}")
-    toks = {t for t in cleaned.replace(",", " ").split() if t}
+    toks = set(raw.strip().strip("{}").replace(",", " ").split())
     unknown = toks - {"pfm", "fm", "ifa"}
     if unknown:
         raise ValueError(f"unknown module(s) {sorted(unknown)}")
@@ -149,14 +150,43 @@ _PARSER_BY_TYPE = {
     "bool": _bool,
     "str": str,
     "str | None": str,
-    "tuple[float, float]": _pair,
-    "tuple[float, ...]": _floats,
-    "tuple[int, int, int]": _three_ints,
+    "tuple[float, float]": _numbers(float, 2),
+    "tuple[float, ...]": _numbers(float),
+    "tuple[int, int, int]": _numbers(int, 3),
 }
 # Fields set through other keys, or not configurable.
 _MODULE_FLAGS = frozenset({"enable_pfm", "enable_fm", "enable_ifa"})  # modules_enabled
-_OPTIMIZER_CONSTANTS = frozenset({"beta1", "beta2", "eps"})
 _SYNTH_FROM_RUN = frozenset({"seed", "hw", "t_in", "k_out"})  # RunConfig.synth_config
+
+
+def _checked(name: str, check) -> None:
+    """Run ``check``; its failure is a ConfigError naming section ``name``."""
+    try:
+        check()
+    except (ValueError, TrainError) as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+
+
+def _model_settings(s: _Section) -> ModelConfig:
+    kw = s.parse_fields(ModelConfig, skip=_MODULE_FLAGS)
+    enabled = s.parse("modules_enabled", _modules)
+    if enabled is not None:
+        kw.update({flag: flag.removeprefix("enable_") in enabled for flag in _MODULE_FLAGS})
+    return ModelConfig(**kw)
+
+
+def _data_settings(s: _Section) -> DataConfig:
+    synth = SyntheticEventConfig(**s.parse_fields(SyntheticEventConfig, skip=_SYNTH_FROM_RUN))
+    return DataConfig(**s.parse_fields(DataConfig, skip={"synth"}), synth=synth)
+
+
+# Per section, the settings built from its keys, in load (and error) order.
+_SECTIONS = {
+    "model": _model_settings,
+    "train": lambda s: TrainConfig(**s.parse_fields(TrainConfig)),
+    "data": _data_settings,
+    "eval": lambda s: EvalConfig(**s.parse_fields(EvalConfig)),
+}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -170,53 +200,16 @@ def load_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
 
-    known_sections = {"model", "train", "data", "eval"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    def section(name: str) -> _Section:
-        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
-
-    m = section("model")
-    model_kw = m.parse_fields(ModelConfig, skip=_MODULE_FLAGS)
-    enabled = m.parse("modules_enabled", _modules)
-    if enabled is not None:
-        model_kw.update({flag: flag.removeprefix("enable_") in enabled for flag in _MODULE_FLAGS})
-    m.leftovers()
-    model = ModelConfig(**model_kw)
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}")
-
-    t = section("train")
-    train = TrainConfig(**t.parse_fields(TrainConfig, skip=_OPTIMIZER_CONSTANTS))
-    t.leftovers()
-    try:
-        train.validate()
-    except TrainError as exc:
-        raise ConfigError(f"[train] {exc}")
-
-    d = section("data")
-    synth = SyntheticEventConfig(**d.parse_fields(SyntheticEventConfig, skip=_SYNTH_FROM_RUN))
-    data = DataConfig(**d.parse_fields(DataConfig, skip={"synth"}), synth=synth)
-    d.leftovers()
-    if not 0.0 <= data.train_frac <= 1.0:
-        raise ConfigError("[data] train_frac must lie in [0, 1]")
-    if data.n_events < 0:
-        raise ConfigError("[data] n_events must be nonnegative")
-
-    e = section("eval")
-    ev = EvalConfig(**e.parse_fields(EvalConfig))
-    e.leftovers()
-    for th in ev.thresholds:
-        if not 0.0 <= th <= 255.0:
-            raise ConfigError(f"[eval] thresholds entry {th} outside [0, 255]")
-
-    run = RunConfig(model=model, train=train, data=data, eval=ev)
-    try:
-        run.synth_config().validate()
-    except SynthError as exc:
-        raise ConfigError(f"[data] {exc}")
+    settings = {}
+    for name, build in _SECTIONS.items():
+        s = _Section(name, dict(parser[name]) if parser.has_section(name) else {})
+        settings[name] = build(s)
+        s.leftovers()
+        _checked(name, settings[name].validate)
+    run = RunConfig(**settings)
+    _checked("data", run.synth_config().validate)  # the generator also needs [model]'s grid
     return run

@@ -303,6 +303,8 @@ def read_manifest(path: str | Path) -> Manifest:
                     cov_mean[ch], cov_std[ch] = m, s
                 elif line.startswith("event "):
                     _, split, fp, cp, lp = line.split()
+                    if split not in ("train", "test"):
+                        raise ValueError(f"event split {split!r} is neither train nor test")
                     entry = ManifestEntry(
                         split=split,
                         frames_path=path.parent / fp,

@@ -37,9 +37,8 @@ class TrainConfig:
     phase2_steps: int = 300
     seed: int = 0
     weight_decay: float = OptimizerState.weight_decay
-    beta1: float = OptimizerState.beta1
-    beta2: float = OptimizerState.beta2
-    eps: float = OptimizerState.eps
+    # AdamW constants: class attributes, not fields, so no config key sets them
+    beta1, beta2, eps = OptimizerState.beta1, OptimizerState.beta2, OptimizerState.eps
 
     def validate(self) -> None:
         for f in fields(self):
@@ -47,8 +46,10 @@ class TrainConfig:
                 raise TrainError(f"{f.name} = {value} must be nonnegative")
             if not np.isfinite(value):
                 raise TrainError(f"{f.name} = {value} must be finite")
-        if self.batch < 1 or self.lr <= 0:
-            raise TrainError("batch must be >= 1 and lr positive")
+        if self.batch < 1:
+            raise TrainError(f"batch = {self.batch} must be >= 1")
+        if self.lr <= 0:
+            raise TrainError(f"lr = {self.lr} must be positive")
 
     @property
     def total_steps(self) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from foucast.cli import main
-from foucast.config import ConfigError, RunConfig, load_config
+from foucast.config import ConfigError, DataConfig, EvalConfig, RunConfig, load_config
 
 TINY_INI = """\
 [model]
@@ -137,6 +137,8 @@ def test_config_model_counts_must_be_positive(tmp_path, capsys, old, new, key):
     ("train", "lr = 0.002", "lr = inf", "lr = inf", "finite"),
     ("train", "seed = 0", "seed = 0\nweight_decay = inf", "weight_decay = inf", "finite"),
     ("data", "n_blobs = 2", "n_blobs = 2\nseed = -3", "seed = -3", "nonnegative"),
+    ("train", "batch = 2", "batch = 0", "batch = 0", ">= 1"),
+    ("train", "lr = 0.002", "lr = 0", "lr = 0.0", "positive"),
 ])
 def test_config_negative_seeds_and_steps_rejected(tmp_path, capsys, section, old, new, key, rule):
     """A negative seed, step count or weight decay, or a NaN or infinite rate, fails at load,
@@ -147,6 +149,36 @@ def test_config_negative_seeds_and_steps_rejected(tmp_path, capsys, section, old
         load_config(ini)
     assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "d")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,old,new,message", [
+    ("data", "n_blobs = 2", "n_blobs = 2\ntrain_frac = 1.5", "train_frac must lie in [0, 1]"),
+    ("data", "n_events = 4", "n_events = -1", "n_events must be nonnegative"),
+    ("eval", "thresholds = 16, 74", "thresholds = 16, 300",
+     "thresholds entry 300.0 outside [0, 255]"),
+    ("eval", "thresholds = 16, 74", "thresholds = 16, 16",
+     "thresholds entry 16.0 appears more than once"),
+    ("eval", "thresholds = 16, 74", "thresholds = 16, 74\nmodel_tag = a,b",
+     "model_tag = 'a,b' must not contain a comma or line break"),
+    ("eval", "thresholds = 16, 74", "thresholds = 16, 74\nmodel_tag = a\n  b",
+     "model_tag = 'a\\nb' must not contain a comma or line break"),
+])
+def test_config_data_and_eval_ranges_rejected(tmp_path, capsys, section, old, new, message):
+    """A [data] or [eval] setting that would corrupt the split or a metric CSV fails at load,
+    naming the setting."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {message}")):
+        load_config(ini)
+    assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "d")]) == 2
+    assert f"[{section}] {message}" in capsys.readouterr().err
+
+
+def test_config_built_in_code_gets_the_load_checks():
+    with pytest.raises(ConfigError, match=re.escape("train_frac must lie in [0, 1]")):
+        DataConfig(train_frac=2.0).validate()
+    with pytest.raises(ConfigError, match=re.escape("thresholds entry 300.0 outside [0, 255]")):
+        EvalConfig(thresholds=(300.0,)).validate()
 
 
 def test_diverged_step_names_its_step(tmp_path, capsys):
@@ -163,6 +195,31 @@ def test_diverged_step_names_its_step(tmp_path, capsys):
     assert rc == 2
     assert "error: step 1: " in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_eval_overflowing_forecast_exits_2(tmp_path, capsys):
+    """A checkpoint with finite but huge parameters overflows the forecast; eval stops with
+    exit 2 and the tape's error, not a traceback, and writes no metric CSV."""
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    from foucast.checkpoint import save_checkpoint
+    from foucast.model import NowcastModel
+    from foucast.optim import init_state
+
+    cfg = load_config(ini)
+    model = NowcastModel.initialize(cfg.model, seed=0)
+    for name in model.params.names():
+        model.params[name] = model.params[name] * 1e200
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model, init_state(model.params, lr=cfg.train.lr))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
+                   "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: half-spectrum contains non-finite entries" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("metrics_*.csv"))
 
 
 @pytest.mark.parametrize("text", ["", "model,mse\npfm,1.0,extra\n"])
@@ -559,6 +616,9 @@ def test_resume_with_other_learning_rate_fails_before_work(tmp_path, monkeypatch
     "covstat 3 nan 1.0",
     "covstat 7 0.5 -inf",
     "covstat 4 0.5 1.0",              # channel 4 already has its line
+    # a split other than train or test, on files that exist
+    "event trian events/event_0000_frames.fct events/event_0000_covs.fct "
+    "events/event_0000_leads.fct",
 ])
 def test_unparsable_manifest_line_fails_before_events_load(tmp_path, monkeypatch, capsys,
                                                           bad_line):

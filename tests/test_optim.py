@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,11 @@ def test_adamw_settings_default_to_optimizer_state():
     assert (state.lr, state.beta1, state.beta2) == (0.5, 0.8, OptimizerState.beta2)
     tcfg = TrainConfig()
     assert all(getattr(tcfg, key) == getattr(OptimizerState, key) for key in OPTIMIZER_SCALARS)
+
+
+def test_adamw_constants_are_not_train_settings():
+    """beta1, beta2 and eps are class attributes of TrainConfig, so no config key sets them."""
+    assert not {f.name for f in fields(TrainConfig)} & {"beta1", "beta2", "eps"}
 
 
 def test_shape_mismatch_rejected():
