@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .model import ModelConfig
 from .pool import ConfigError
-from .synth import SyntheticEventConfig
+from .synth import SyntheticEventConfig, split_problem
 from .train import TrainConfig, TrainError
 
 DEFAULT_THRESHOLDS = (16.0, 74.0, 133.0, 160.0, 181.0, 219.0)
@@ -28,10 +28,8 @@ class DataConfig:
     synth: SyntheticEventConfig = field(default_factory=SyntheticEventConfig)
 
     def validate(self) -> None:
-        if not 0.0 <= self.train_frac <= 1.0:
-            raise ConfigError("train_frac must lie in [0, 1]")
-        if self.n_events < 0:
-            raise ConfigError("n_events must be nonnegative")
+        if problem := split_problem(self.n_events, self.train_frac):
+            raise ConfigError(problem)
 
 
 @dataclass

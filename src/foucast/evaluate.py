@@ -3,9 +3,9 @@
 Samples are scored independently on the worker pool (``pool.fan_out``: the
 calling thread scores every W-th event and pool threads the rest, with OpenBLAS
 held at one thread) and reduced in manifest order, so the report does not
-depend on the pool size.  Categorical scores aggregate the contingency counts
-over all pixels before the ratio; pixel errors aggregate sums; SSIM averages
-per-frame scores.
+depend on the pool size.  A forecast that fails names the event's position in
+the split.  Categorical scores aggregate the contingency counts over all pixels
+before the ratio; pixel errors aggregate sums; SSIM averages per-frame scores.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
+from .autodiff import AutodiffError
 from .metrics import ContingencyCounts
 from .model import NowcastModel
 from .pool import default_workers, fan_out
@@ -72,11 +73,15 @@ def evaluate_model(
         raise ValueError("no evaluation events")
     cfg = model.cfg
 
-    def work(pair):
-        seq, cov = pair
-        return _score_sample(model.predict(seq, cov), seq.frames[cfg.t_in :], thresholds)
+    def work(item):
+        k, (seq, cov) = item
+        try:
+            pred = model.predict(seq, cov)
+        except AutodiffError as exc:  # e.g. a checkpoint whose forecast overflows
+            raise AutodiffError(f"event {k}: {exc}") from exc
+        return _score_sample(pred, seq.frames[cfg.t_in :], thresholds)
 
-    stats = fan_out(work, events, max_workers or default_workers())
+    stats = fan_out(work, list(enumerate(events)), max_workers or default_workers())
 
     k = cfg.k_out
     lead_total = [{t: sum((s.lead_counts[j][t] for s in stats), ContingencyCounts())

@@ -1,6 +1,10 @@
-"""The worker pool of training and evaluation: its size, and the one fan-out over it,
-which holds the OpenBLAS numpy loaded at one thread per worker, so every pool size
-computes at the same BLAS thread count.  Without a thread setter a pool has one worker.
+"""The worker pool of training, evaluation and dataset synthesis: its size, and the one
+fan-out over it, which holds the OpenBLAS numpy loaded at one thread per worker, so every
+pool size computes at the same BLAS thread count.  Without a thread setter a pool has one
+worker.
+
+``fan_out`` is not re-entrant: a task must never call it, directly or through a caller
+such as ``synth_dataset``, because the pool thread running the task would wait on itself.
 """
 
 from __future__ import annotations

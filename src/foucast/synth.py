@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import tensorfile
+from .pool import default_workers, fan_out
 from .resample import bilinear_resize
 
 VARIABLES = ("geopotential", "humidity", "temperature", "u_wind", "v_wind")
@@ -178,30 +179,41 @@ def _make_covariates(cfg, rng, frames, cx, cy, vx, vy, amps) -> CovariateGrid:
     ys, xs = np.mgrid[0 : cfg.cov_hw, 0 : cfg.cov_hw].astype(np.float64)
     sigma_bump = 0.12 * cfg.cov_hw
 
-    fields = np.zeros((len(lead_idx), N_COV_CHANNELS, cfg.cov_hw, cfg.cov_hw))
+    coarse = np.stack([bilinear_resize(frames[j], (cfg.cov_hw, cfg.cov_hw)) for j in lead_idx])
+    u_field = np.zeros_like(coarse)
+    v_field = np.zeros_like(coarse)
     for i, j in enumerate(lead_idx):
-        coarse = bilinear_resize(frames[j], (cfg.cov_hw, cfg.cov_hw))
-        u_field = np.zeros((cfg.cov_hw, cfg.cov_hw))
-        v_field = np.zeros((cfg.cov_hw, cfg.cov_hw))
         for b in range(cx.shape[0]):
             bump = np.exp(
                 -0.5
                 * ((xs - cx[b, j] * scale) ** 2 + (ys - cy[b, j] * scale) ** 2)
                 / sigma_bump**2
             ) * amps[b, j]
-            u_field += bump * vx[b, j]
-            v_field += bump * vy[b, j]
-        ch = 0
-        for lvl in range(len(LEVELS_HPA)):
-            blur = 0.6 + 0.5 * lvl
-            fields[i, ch + 0] = ndimage.gaussian_filter(coarse, 1.0 + 0.6 * lvl)
-            fields[i, ch + len(LEVELS_HPA)] = 0.8 * ndimage.gaussian_filter(coarse, 0.8 + 0.5 * lvl)
-            fields[i, ch + 2 * len(LEVELS_HPA)] = -ndimage.gaussian_filter(coarse, 1.0 + 0.5 * lvl)
-            fields[i, ch + 3 * len(LEVELS_HPA)] = ndimage.gaussian_filter(u_field, blur)
-            fields[i, ch + 4 * len(LEVELS_HPA)] = ndimage.gaussian_filter(v_field, blur)
-            ch += 1
+            u_field[i] += bump * vx[b, j]
+            v_field[i] += bump * vy[b, j]
+    fields = _level_fields(coarse, u_field, v_field)
     fields += 0.02 * rng.standard_normal(fields.shape)
     return CovariateGrid(fields=fields, lead_minutes=(lead_idx - (cfg.t_in - 1)) * CADENCE_MINUTES)
+
+
+def _level_fields(coarse, u_field, v_field) -> np.ndarray:
+    """(N, M, H', W') channels from (N, H', W') lead stacks, variable-major then level.
+
+    Each channel is one blur over all leads; sigma 0 on the lead axis keeps
+    the leads apart, so every lead is filtered as a 2-D field on its own.
+    """
+    def blur(stack, sigma):
+        return ndimage.gaussian_filter(stack, (0.0, sigma, sigma))
+
+    n_lvl = len(LEVELS_HPA)
+    fields = np.zeros((coarse.shape[0], N_COV_CHANNELS) + coarse.shape[1:])
+    for lvl in range(n_lvl):
+        fields[:, lvl] = blur(coarse, 1.0 + 0.6 * lvl)
+        fields[:, lvl + n_lvl] = 0.8 * blur(coarse, 0.8 + 0.5 * lvl)
+        fields[:, lvl + 2 * n_lvl] = -blur(coarse, 1.0 + 0.5 * lvl)
+        fields[:, lvl + 3 * n_lvl] = blur(u_field, 0.6 + 0.5 * lvl)
+        fields[:, lvl + 4 * n_lvl] = blur(v_field, 0.6 + 0.5 * lvl)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +240,48 @@ class Manifest:
         return [e for e in self.entries if e.split == tag]
 
 
+def split_problem(n_events: int, train_frac: float) -> str | None:
+    """What is wrong with a dataset of ``n_events`` split at ``train_frac``, or None."""
+    if n_events < 0:
+        return f"n_events must be nonnegative, got {n_events}"
+    if not 0.0 <= train_frac <= 1.0:  # NaN fails as well
+        return f"train_frac must lie in [0, 1], got {train_frac}"
+    return None
+
+
 def synth_dataset(
     base: SyntheticEventConfig,
     n_events: int,
     out_dir: str | Path,
     train_frac: float = 0.8,
 ) -> Path:
-    """Generate ``n_events`` seeded events, write FCT1 files and a manifest."""
+    """Generate ``n_events`` seeded events, write FCT1 files and a manifest.
+
+    Each event is one ``fan_out`` task that generates it and writes its files;
+    the manifest follows in event order, so no byte depends on the pool size.
+    """
     base.validate()
+    if problem := split_problem(n_events, train_frac):
+        raise SynthError(problem)
+    workers = default_workers()
     out_dir = Path(out_dir)
     (out_dir / "events").mkdir(parents=True, exist_ok=True)
     n_train = int(round(n_events * train_frac))
-    entries: list[tuple[str, str, str, str]] = []
-    train_fields = []
-    for i in range(n_events):
-        cfg = replace(base, seed=base.seed + i)
-        seq, cov = generate_event(cfg)
+
+    def write_event(i: int) -> tuple[str, np.ndarray | None]:
+        """The event's manifest line, and its float32 covariates if it is a train event."""
+        seq, cov = generate_event(replace(base, seed=base.seed + i))
         split = "train" if i < n_train else "test"
         stem = f"events/event_{i:04d}"
+        covs = cov.fields.astype(np.float32)
         tensorfile.write_tensor(out_dir / f"{stem}_frames.fct", seq.frames.astype(np.float32))
-        tensorfile.write_tensor(out_dir / f"{stem}_covs.fct", cov.fields.astype(np.float32))
+        tensorfile.write_tensor(out_dir / f"{stem}_covs.fct", covs)
         tensorfile.write_tensor(out_dir / f"{stem}_leads.fct", cov.lead_minutes)
-        entries.append((split, f"{stem}_frames.fct", f"{stem}_covs.fct", f"{stem}_leads.fct"))
-        if split == "train":
-            train_fields.append(cov.fields.astype(np.float32).astype(np.float64))
+        line = f"event {split} {stem}_frames.fct {stem}_covs.fct {stem}_leads.fct\n"
+        return line, covs if split == "train" else None
 
+    written = fan_out(write_event, list(range(n_events)), workers)
+    train_fields = [covs.astype(np.float64) for _, covs in written if covs is not None]
     if train_fields:
         stacked = np.concatenate([f.transpose(1, 0, 2, 3).reshape(N_COV_CHANNELS, -1)
                                   for f in train_fields], axis=1)
@@ -273,8 +302,7 @@ def synth_dataset(
         fh.write(f"cov_hw = {base.cov_hw}\n")
         for ch in range(N_COV_CHANNELS):
             fh.write(f"covstat {ch} {float(cov_mean[ch])!r} {float(cov_std[ch])!r}\n")
-        for split, fp, cp, lp in entries:
-            fh.write(f"event {split} {fp} {cp} {lp}\n")
+        fh.writelines(line for line, _ in written)
     return manifest_path
 
 

@@ -1,5 +1,5 @@
-"""Independent numpy references for the fusion operators, the objective and
-the bilinear resize.
+"""Independent numpy references for the fusion operators, the objective, the
+bilinear resize and the covariate blur.
 
 The library runs each operator once, as a tape function in ``foucast.model``.
 These plain-array versions are written without the tape so tests can check
@@ -10,7 +10,8 @@ cancel out.  The resize reference samples each 2-D slice with
 ``scipy.ndimage.map_coordinates``, where the library builds weight matrices.
 The convolution references unfold with ``sliding_window_view`` and fold back
 with one strided add per tap, where the library uses one strided view and one
-contiguous run per tap.
+contiguous run per tap.  The covariate blur reference filters each lead and
+channel as its own 2-D field, where the library blurs all leads in one call.
 """
 
 import numpy as np
@@ -33,6 +34,24 @@ def map_coordinates_resize(field, out_hw):
     out = np.stack([ndimage.map_coordinates(f, coords, order=1, mode="nearest")
                     for f in flat])
     return out.reshape(field.shape[:-2] + (oh, ow))
+
+
+def per_lead_level_fields(coarse, u_field, v_field, n_levels=4):
+    """(N, 5 * n_levels, H, W) covariate channels: one 2-D ``gaussian_filter`` per lead and channel.
+
+    Variable-major, then level: three signed blurs of the coarse rain field,
+    then the u and v wind fields, each at the level's own sigma.
+    """
+    fields = np.zeros((coarse.shape[0], 5 * n_levels) + coarse.shape[1:])
+    for i in range(coarse.shape[0]):
+        for lvl in range(n_levels):
+            blur = 0.6 + 0.5 * lvl
+            fields[i, lvl] = ndimage.gaussian_filter(coarse[i], 1.0 + 0.6 * lvl)
+            fields[i, lvl + n_levels] = 0.8 * ndimage.gaussian_filter(coarse[i], 0.8 + 0.5 * lvl)
+            fields[i, lvl + 2 * n_levels] = -ndimage.gaussian_filter(coarse[i], 1.0 + 0.5 * lvl)
+            fields[i, lvl + 3 * n_levels] = ndimage.gaussian_filter(u_field[i], blur)
+            fields[i, lvl + 4 * n_levels] = ndimage.gaussian_filter(v_field[i], blur)
+    return fields
 
 
 def naive_dft2(x):

@@ -199,7 +199,7 @@ def test_diverged_step_names_its_step(tmp_path, capsys):
 
 def test_eval_overflowing_forecast_exits_2(tmp_path, capsys):
     """A checkpoint with finite but huge parameters overflows the forecast; eval stops with
-    exit 2 and the tape's error, not a traceback, and writes no metric CSV."""
+    exit 2 and the tape's error, naming the event, not a traceback, and writes no metric CSV."""
     ini = write_ini(tmp_path / "c.ini")
     data = tmp_path / "data"
     assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
@@ -218,7 +218,7 @@ def test_eval_overflowing_forecast_exits_2(tmp_path, capsys):
         rc = main(["eval", "--config", str(ini), "--checkpoint", str(ckpt),
                    "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "error: half-spectrum contains non-finite entries" in capsys.readouterr().err
+    assert "error: event 0: half-spectrum contains non-finite entries" in capsys.readouterr().err
     assert not list((tmp_path / "run").glob("metrics_*.csv"))
 
 

@@ -4,8 +4,8 @@ library, and one module fans work out over threads.
 A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
 ``UNUSED_ALLOWED`` are the only exceptions.  ``pool.fan_out`` is the one
-fan-out, so only ``pool.py`` imports ``concurrent.futures``, and training and
-evaluation each call it once.  Resampling is numpy weight matrices, so scipy
+fan-out, so only ``pool.py`` imports ``concurrent.futures``, and training,
+evaluation and dataset synthesis each fan out once.  Resampling is numpy weight matrices, so scipy
 stays in ``synth.py`` (its Gaussian blur).
 """
 
@@ -162,14 +162,15 @@ def test_only_pool_imports_concurrent_futures():
 
 
 def test_fan_out_has_one_call_site_per_caller():
-    """Training and evaluation each fan out once: a step runs each sample as one task."""
+    """Training, evaluation and dataset synthesis each fan out once: a train step runs
+    each sample as one task, evaluation each test event, and synthesis each event."""
     calls = {}
     for p in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(p.read_text())):
             if isinstance(node, ast.Call) and "fan_out" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls[p.stem] = calls.get(p.stem, 0) + 1
-    assert calls == {"train": 1, "evaluate": 1}, f"fan_out call sites per module: {calls}"
+    assert calls == {"train": 1, "evaluate": 1, "synth": 1}, f"fan_out call sites per module: {calls}"
 
 
 def test_only_synth_imports_scipy():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from foucast import tensorfile
+from foucast import synth, tensorfile
 from foucast.resample import bilinear_resize, lerp_matrix
 from foucast.synth import (
     N_COV_CHANNELS,
@@ -15,7 +15,7 @@ from foucast.synth import (
     read_manifest,
     synth_dataset,
 )
-from oracles import map_coordinates_resize
+from oracles import map_coordinates_resize, per_lead_level_fields
 
 
 # --- tensor files -----------------------------------------------------------
@@ -187,6 +187,25 @@ def small_cfg(**kw):
     return SyntheticEventConfig(**base)
 
 
+@pytest.mark.parametrize("kw", [
+    {},
+    {"k_out": 1},                 # one lead
+    {"k_out": 7},                 # four leads, odd k_out
+    {"cov_hw": 11},
+    {"n_blobs": 0},
+    {"noise_amp": 0.0},
+    {"seed": 3, "hw": 48, "t_in": 2, "k_out": 5, "cov_hw": 9},
+], ids=["default", "one_lead", "four_leads", "cov_hw_11", "no_blobs", "no_noise", "mixed"])
+def test_covariate_blur_over_leads_matches_per_lead_oracle(monkeypatch, kw):
+    """One blur per channel over all leads gives every bit of one blur per lead and channel."""
+    cfg = small_cfg(**kw)
+    _, cov = generate_event(cfg)
+    monkeypatch.setattr(synth, "_level_fields", per_lead_level_fields)
+    _, ref = generate_event(cfg)
+    assert cov.fields.shape == ref.fields.shape
+    assert np.array_equal(cov.fields, ref.fields)
+
+
 def test_no_blobs_no_noise_gives_zero_frames():
     seq, _ = generate_event(small_cfg(n_blobs=0, noise_amp=0.0))
     assert np.all(seq.frames == 0.0)
@@ -313,6 +332,47 @@ def test_synth_dataset_round_trip(tmp_path):
     a = (tmp_path / "events/event_0000_frames.fct").read_bytes()
     b = (d2 / "events/event_0000_frames.fct").read_bytes()
     assert a == b
+
+
+def dataset_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_dataset_bytes_do_not_depend_on_pool_size(tmp_path, monkeypatch):
+    """Every event file and the manifest are byte-identical with one, two and three workers."""
+    written = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("FOUCAST_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        synth_dataset(small_cfg(seed=21), n_events=5, out_dir=out, train_frac=0.6)
+        written[threads] = dataset_files(out)
+    assert len(written["1"]) == 3 * 5 + 1
+    assert written["1"] == written["2"] == written["3"]
+
+
+@pytest.mark.parametrize("n_events,train_frac,message", [
+    (-1, 0.8, "n_events must be nonnegative, got -1"),
+    (3, 1.5, "train_frac must lie in [0, 1], got 1.5"),
+    (3, -0.1, "train_frac must lie in [0, 1], got -0.1"),
+    (3, float("nan"), "train_frac must lie in [0, 1], got nan"),
+])
+def test_synth_dataset_rejects_bad_arguments(tmp_path, n_events, train_frac, message):
+    """A bad count or split fraction fails, naming the argument, before any file exists."""
+    out = tmp_path / "data"
+    with pytest.raises(SynthError, match=re.escape(message)):
+        synth_dataset(small_cfg(), n_events=n_events, out_dir=out, train_frac=train_frac)
+    assert not out.exists()
+
+
+def test_synth_dataset_reads_pool_size_before_writing(tmp_path, monkeypatch):
+    """A bad FOUCAST_THREADS fails before the output directory is made."""
+    from foucast.pool import ConfigError
+
+    monkeypatch.setenv("FOUCAST_THREADS", "0")
+    out = tmp_path / "data"
+    with pytest.raises(ConfigError, match="FOUCAST_THREADS"):
+        synth_dataset(small_cfg(), n_events=2, out_dir=out)
+    assert not out.exists()
 
 
 def test_empty_dataset(tmp_path):
