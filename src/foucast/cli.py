@@ -11,6 +11,7 @@ from .autodiff import AutodiffError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .evaluate import evaluate_model, write_reports
+from .metrics import SSIM_WINDOW
 from .model import ModelConfig, ModelError, NowcastModel
 from .optim import OPTIMIZER_SCALARS
 from .pool import default_workers, pool_threads
@@ -68,8 +69,9 @@ def cmd_train(args) -> int:
     events = _load_split(manifest, "train", cfg.model)
     if not events:
         raise TrainError("manifest has no train events")
-    pool, blas = step_workers(cfg.model, workers, min(tcfg.batch, len(events)))
-    print(f"train pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
+    pool, blas, processes = step_workers(cfg.model, workers, min(tcfg.batch, len(events)))
+    print(f"train pool {pool} worker(s) ({'processes' if processes else 'threads'}), "
+          f"BLAS threads per worker: {blas or 'not settable'}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     state = train_model(model, events, tcfg, log_path=out / "train_log.csv", state=state)
@@ -82,6 +84,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
+    if cfg.model.hw < SSIM_WINDOW:
+        raise ConfigError(f"[model] hw = {cfg.model.hw} is below the {SSIM_WINDOW} px SSIM "
+                          f"window eval scores with")
     workers = default_workers()
     manifest_path = args.manifest or cfg.data.manifest
     if manifest_path is None:

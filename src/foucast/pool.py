@@ -1,18 +1,24 @@
 """The worker pool of training, evaluation and dataset synthesis: its size, and the one
 fan-out over it, which holds the OpenBLAS numpy loaded at one thread per worker, so every
 pool size computes at the same BLAS thread count.  Without a thread setter a pool has one
-worker.
+worker.  The workers are threads, or spawned processes for work that holds the
+interpreter lock (small train steps).
 
-``fan_out`` is not re-entrant: a task must never call it, directly or through a caller
-such as ``synth_dataset``, because the pool thread running the task would wait on itself.
+A task must never fan out, directly or through a caller such as ``synth_dataset``: a
+pool thread running the task would wait on itself, and a worker process would start
+a pool of its own.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing.connection
+import multiprocessing.util
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import signal
+import threading
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 
@@ -68,24 +74,59 @@ def one_blas_thread():
         put(before)
 
 
-# Pool threads live as long as the process: a pool built per call ends one thread as the next
-# starts, the new one can get a fresh malloc arena, and train_default then peaked ~60 MB higher.
+def _exit_with_parent() -> None:
+    """Worker-process thread: end the worker when its parent is gone, however it ended."""
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
+def _init_worker() -> None:
+    """Worker-process initializer: the worker's OpenBLAS runs one thread for good, the worker
+    ignores SIGINT, and it exits with its parent.
+
+    A Ctrl-C reaches the whole process group, and a worker that it interrupts between the
+    two writes of a result message leaves the caller's result pipe half-written, so the
+    caller waits forever: the caller alone handles it, and shuts the worker down on its way
+    out.  A parent killed outright cannot shut it down, and the worker, which holds its own
+    task queue's write end, would wait for tasks for good.
+    """
+    import numpy  # noqa: F401  (maps the OpenBLAS whose setter is looked up)
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    _, put = _openblas_threads() or (None, lambda n: None)
+    put(1)
+
+
+# Pools live as long as the process: a thread pool built per call ends one thread as the next
+# starts, the new one can get a fresh malloc arena, and train_default then peaked ~60 MB higher;
+# a process pool built per call would pay the 0.6 s start of a spawned worker on every step.
 @functools.cache
-def _executor(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads)
+def _executor(workers: int, processes: bool) -> Executor:
+    if not processes:
+        return ThreadPoolExecutor(workers)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_init_worker)
+    # A multiprocessing child joins its own children before its thread-exit hooks would shut
+    # the pool down, so shut it down by a finalizer that also runs before the pool's queues
+    # close (exitpriority 10); without it a child that trained never exits.
+    multiprocessing.util.Finalize(pool, pool.shutdown, exitpriority=100)
+    return pool
 
 
-def fan_out(fn, items: list, max_workers: int) -> list:
+def fan_out(fn, items: list, max_workers: int, processes: bool = False) -> list:
     """``[fn(x) for x in items]`` on ``pool_threads`` workers, OpenBLAS held at one thread.
 
-    The calling thread maps every W-th item and W - 1 pool threads the rest.
-    Results come back in item order, and the BLAS count is restored, once every
-    item has finished, also when ``fn`` raises.
+    The calling thread maps every W-th item and W - 1 pool threads, or with
+    ``processes`` W - 1 spawned worker processes, the rest; a worker process gets
+    ``fn`` and its item pickled, so both must be picklable.  Results come back in
+    item order, and the BLAS count is restored, once every item has finished, also
+    when ``fn`` raises.  No worker starts until an item is submitted.
     """
     workers, _ = pool_threads(max_workers, len(items))
-    pool = _executor(max(workers - 1, 1))  # no thread starts until an item is submitted
     with one_blas_thread():
-        futures = {k: pool.submit(fn, x) for k, x in enumerate(items) if k % workers}
+        futures = {k: _executor(workers - 1, processes).submit(fn, x)
+                   for k, x in enumerate(items) if k % workers}
         try:
             mine = {k: fn(x) for k, x in enumerate(items) if k % workers == 0}
         finally:

@@ -13,6 +13,7 @@ a checkpoint retraces the original trajectory.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import EPS_UNIT, ModelConfig, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OPTIMIZER_SCALARS, OptimizerState, adamw_step, init_state
+from .params import ParamSet
 from .pool import default_workers, fan_out, pool_threads
 from .synth import CovariateGrid, RadarSequence
 
@@ -95,27 +97,53 @@ def batch_indices(seed: int, step: int, n_events: int, batch: int) -> np.ndarray
     return rng.integers(0, n_events, size=min(batch, n_events))
 
 
-# Pool a step only where a sample's full-resolution activation, hw * hw * enc_channels[0], has
-# this many elements.  Below it GIL-free numpy kernels are too short for a second thread to gain
-# (2 vCPUs: 0.95x at 2**15, 0.99x at 2**16, 1.35x at 2**17), and the step only varies more.
+# A step's samples run on worker threads where a sample's full-resolution activation,
+# hw * hw * enc_channels[0], has this many elements, and on spawned worker processes below it.
+# Below it GIL-free numpy kernels are too short for a second thread to gain (2 vCPUs: 0.95x at
+# 2**15, 0.99x at 2**16, 1.35x at 2**17), while a process does not share the interpreter lock:
+# train_ablation (2**15) ran 1.33x the serial samples/s (51.5 -> 68.6, median of 10 pairs).
+# Above it pickling costs more than the lock: the paper-default step took 324-379 ms on
+# processes against 297-335 ms on threads, with about 9 MB pickled per task.
 POOL_MIN_ELEMENTS = 1 << 17
 
 
-def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[int, int | None]:
-    """(pool size, BLAS threads per worker) of a train step over ``n_samples``."""
-    big = cfg.hw * cfg.hw * cfg.enc_channels[0] >= POOL_MIN_ELEMENTS
-    return pool_threads(max_workers, n_samples if big else 1)
+def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[int, int | None, bool]:
+    """(pool size, BLAS threads per worker, whether the workers are processes) of a train
+    step over ``n_samples``."""
+    processes = cfg.hw * cfg.hw * cfg.enc_channels[0] < POOL_MIN_ELEMENTS
+    return (*pool_threads(max_workers, n_samples), processes)
+
+
+def sample_grads(
+    params: ParamSet, cfg: ModelConfig, phase: int, scale: float, ev: PreparedEvent
+) -> tuple[float, ParamSet | None]:
+    """One sample's loss value and its gradients scaled by ``scale``, or None for them if the
+    loss is not finite (then nothing is swept).
+
+    The graph is built on the sample's own leaves over ``params``' arrays, so samples
+    share no tape state; the function reads no other state, so a pool thread or a
+    worker process can run it.
+    """
+    leaves = make_leaves(params)
+    pred = forward_tape(
+        leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
+        gt_frames=ev.frames if phase == 1 else None,
+    )
+    sample_loss = loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
+    if not np.isfinite(sample_loss.value):
+        return sample_loss.value, None
+    ad.backward(ad.mul(sample_loss, scale))
+    return sample_loss.value, collect_grads(params, leaves)
 
 
 def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConfig) -> float:
     """One optimizer step; returns the batch loss.
 
-    Each sample is one ``fan_out`` task (sized by ``step_workers``) that builds a
-    graph on its own leaves over the shared arrays and sweeps it if its loss is
-    finite, so a step holds one live tape per worker; a non-finite batch loss
-    or summed gradient raises before the optimizer moves.  Gradients are summed last sample first,
-    the order of one shared graph's sweep, so the step does not depend on the
-    pool size.
+    Each sample is one ``fan_out`` task of ``sample_grads`` (on the pool
+    ``step_workers`` picks), so a step holds one live tape per worker; a
+    non-finite batch loss or summed gradient raises before the optimizer moves.
+    Gradients are summed last sample first, the order of one shared graph's sweep,
+    so the step does not depend on the pool size or kind.
     """
     model = state.model
     cfg = model.cfg
@@ -124,22 +152,10 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     idx = list(batch_indices(tcfg.seed, step, len(prepared), tcfg.batch))
     scale = 1.0 / len(idx)
 
-    def sample(i):
-        ev = prepared[i]
-        leaves = make_leaves(model.params)
-        pred = forward_tape(
-            leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
-            gt_frames=ev.frames if phase == 1 else None,
-        )
-        sample_loss = loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam)
-        if not np.isfinite(sample_loss.value):
-            return sample_loss.value, None
-        ad.backward(ad.mul(sample_loss, scale))
-        return sample_loss.value, collect_grads(model.params, leaves)
-
-    workers, _ = step_workers(cfg, default_workers(), len(idx))
+    workers, _, processes = step_workers(cfg, default_workers(), len(idx))
+    task = functools.partial(sample_grads, model.params, cfg, phase, scale)
     try:
-        per_sample = fan_out(sample, idx, workers)
+        per_sample = fan_out(task, [prepared[i] for i in idx], workers, processes)
     except ad.AutodiffError as exc:  # e.g. a forward pass that overflows after a diverged step
         raise TrainError(f"step {step}: {exc}") from exc
     loss_value = float(sum(value for value, _ in per_sample) * scale)

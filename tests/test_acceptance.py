@@ -8,6 +8,7 @@ fixture.
 
 import functools
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -421,16 +422,24 @@ def ablation_run(seed, variant):
     return float(np.mean(sq)), float(np.mean(ab))
 
 
+def train_on_the_calling_thread():
+    """Pool initializer: the two pool processes already fill the cores, so each steps its
+    samples itself instead of starting step workers of its own."""
+    os.environ["FOUCAST_THREADS"] = "1"
+
+
 @pytest.fixture(scope="module")
 def ablation_results():
     """Train full / no-modulation / no-memory variants on 3 seeds x 100 events.
 
     The nine trainings share nothing, so they run in two processes; each runs
-    exactly the computation it would run here.  The processes are spawned, not
-    forked, because this process may already hold pool and BLAS threads.
+    exactly the computation it would run here (training is bit-identical at any
+    FOUCAST_THREADS).  The processes are spawned, not forked, because this process
+    may already hold pool and BLAS threads.
     """
     jobs = [(seed, variant) for seed in ABLATION_SEEDS for variant in ABLATION_VARIANTS]
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as ex:
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=train_on_the_calling_thread) as ex:
         scores = dict(zip(jobs, ex.map(ablation_run, *zip(*jobs))))
     return {seed: {variant: scores[seed, variant] for variant in ABLATION_VARIANTS}
             for seed in ABLATION_SEEDS}

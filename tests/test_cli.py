@@ -105,6 +105,19 @@ def test_config_bad_value_named(tmp_path):
         load_config(ini)
 
 
+def test_eval_grid_below_ssim_window_fails_before_work(tmp_path, capsys):
+    """hw = 8 passes [model], synth and train, but eval scores SSIM over an 11 px window:
+    eval rejects it by key before the checkpoint or manifest is read (neither exists)."""
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace("hw = 16\nhidden_hw = 4", "hw = 8\nhidden_hw = 2"))
+    load_config(ini)
+    rc = main(["eval", "--config", str(ini), "--checkpoint", str(tmp_path / "none.ckpt"),
+               "--manifest", str(tmp_path / "none.txt"), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: [model] hw = 8 is below the 11 px SSIM window" in err and "none" not in err
+
+
 def test_config_grid_floor_is_a_model_error(tmp_path):
     """A model grid under the data generator's floor is reported against [model]."""
     ini = write_ini(tmp_path / "c.ini")
@@ -338,8 +351,8 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     assert main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
                  "--out", str(run)]) == 0
     assert (run / "model.ckpt").exists()
-    assert re.search(r"^train pool \d+ worker\(s\), BLAS threads per worker: (1|not settable)$",
-                     capsys.readouterr().out, re.MULTILINE)
+    assert re.search(r"^train pool \d+ worker\(s\) \(processes\), BLAS threads per worker: "
+                     r"(1|not settable)$", capsys.readouterr().out, re.MULTILINE)
     log = (run / "train_log.csv").read_text().strip().splitlines()
     assert log[0] == "step,phase,loss" and len(log) == 6
 
@@ -361,6 +374,122 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     assert main(["report", "--out", str(run)]) == 0
     out = capsys.readouterr().out
     assert "metrics_csi.csv" in out and "pfm+fm+ifa" in out
+
+
+def processes_carrying(entry: bytes) -> list[int]:
+    """Pids of the processes whose environment holds ``entry`` (``NAME=value``)."""
+    from pathlib import Path
+
+    pids = []
+    for environ in Path("/proc").glob("[0-9]*/environ"):
+        try:
+            if entry in environ.read_bytes().split(b"\0"):
+                pids.append(int(environ.parent.name))
+        except OSError:  # gone, or not ours to read
+            pass
+    return pids
+
+
+def test_no_process_outlives_a_train_run(tmp_path):
+    """A train run on worker processes leaves nothing running once it exits: no worker and
+    no multiprocessing resource tracker still carries the run's environment."""
+    import os
+    import subprocess
+    import sys
+    import time
+    import uuid
+    from pathlib import Path
+
+    import foucast
+    from foucast import pool
+
+    if not Path("/proc/self/environ").exists():
+        pytest.skip("no /proc to scan")
+    ini = write_ini(tmp_path / "c.ini")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    marker = uuid.uuid4().hex
+    env = {**os.environ, "FOUCAST_TEST_MARKER": marker, "FOUCAST_THREADS": "2",
+           "PYTHONPATH": str(Path(foucast.__file__).parents[1])}
+    entry = f"FOUCAST_TEST_MARKER={marker}".encode()
+    probe = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], env=env)
+    try:
+        assert processes_carrying(entry) == [probe.pid]  # the scan sees a marked process
+    finally:
+        probe.kill()
+        probe.wait()
+    # output to files, not pipes: a process left holding a pipe would hold up run() instead
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        run = subprocess.run(
+            [sys.executable, "-m", "foucast.cli", "train", "--config", str(ini),
+             "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")],
+            env=env, stdout=stdout, stderr=stderr, timeout=300,
+        )
+    assert run.returncode == 0, err.read_text()
+    if pool._openblas_threads() is not None:  # else the pool has one worker and starts none
+        assert "train pool 2 worker(s) (processes)" in out.read_text()
+    # the resource tracker ends once it reads EOF from the exited run: give it a moment
+    deadline = time.monotonic() + 10.0
+    while (left := processes_carrying(entry)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert left == []
+
+
+def test_no_process_outlives_a_killed_train_run(tmp_path):
+    """A train run killed outright cannot shut its worker down: the worker sees its parent
+    go and exits, and the resource tracker follows it."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+    import uuid
+    from pathlib import Path
+
+    import foucast
+    from foucast import pool
+
+    if not Path("/proc/self/environ").exists() or pool._openblas_threads() is None:
+        pytest.skip("no /proc to scan, or no BLAS setter and so no worker")
+    ini = write_ini(tmp_path / "c.ini", p1=5000, p2=5000)
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    marker = uuid.uuid4().hex
+    env = {**os.environ, "FOUCAST_TEST_MARKER": marker, "FOUCAST_THREADS": "2",
+           "PYTHONPATH": str(Path(foucast.__file__).parents[1])}
+    entry = f"FOUCAST_TEST_MARKER={marker}".encode()
+    run = subprocess.Popen(
+        [sys.executable, "-m", "foucast.cli", "train", "--config", str(ini),
+         "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "run")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    def worker_started():
+        for pid in processes_carrying(entry):
+            try:
+                if pid != run.pid and b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
+                    return True
+            except OSError:  # gone since the scan
+                pass
+        return False
+
+    try:
+        deadline = time.monotonic() + 60.0
+        while not worker_started() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert worker_started() and run.poll() is None
+        run.kill()
+        run.wait()
+        deadline = time.monotonic() + 10.0
+        while (left := processes_carrying(entry)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert left == []
+    finally:  # whatever is left of the run's session goes with the test
+        try:
+            os.killpg(run.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        run.wait()
 
 
 def test_train_determinism_same_seed(tmp_path):
@@ -875,6 +1004,123 @@ def test_fan_out_keeps_item_order_and_maps_every_wth_item_on_the_caller(monkeypa
     out = pool.fan_out(lambda x: (x * x, threading.get_ident() == caller), list(range(7)), 3)
     assert [square for square, _ in out] == [x * x for x in range(7)]
     assert [k for k, (_, on_caller) in enumerate(out) if on_caller] == [0, 3, 6]
+
+
+def square_and_pid(x):
+    import os
+
+    return x * x, os.getpid()
+
+
+def blas_threads(_):
+    from foucast import pool
+
+    return pool._openblas_threads()[0]()
+
+
+def test_fan_out_to_processes_keeps_item_order_and_maps_every_wth_item_on_the_caller(
+        monkeypatch):
+    import os
+
+    from foucast import pool
+
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    out = pool.fan_out(square_and_pid, list(range(7)), 3, processes=True)
+    assert [square for square, _ in out] == [x * x for x in range(7)]
+    assert [k for k, (_, pid) in enumerate(out) if pid == os.getpid()] == [0, 3, 6]
+
+
+def test_worker_processes_run_one_blas_thread(blas_at_two):
+    from foucast import pool
+
+    assert pool.fan_out(blas_threads, [0, 1, 2, 3], 2, processes=True) == [1, 1, 1, 1]
+    assert blas_at_two() == 2
+
+
+def sleep_and_pid(seconds):
+    import os
+    import time
+
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def test_worker_processes_leave_sigint_to_the_caller(monkeypatch):
+    """A Ctrl-C signals the whole process group; a worker that took it could leave its
+    result half-sent and the caller waiting forever, so the task runs on to its end."""
+    import os
+    import signal
+    import threading
+
+    from foucast import pool
+
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
+    worker = pool.fan_out(sleep_and_pid, [0.0, 0.0], 2, processes=True)[1]
+    assert worker != os.getpid()
+    timer = threading.Timer(0.3, os.kill, (worker, signal.SIGINT))
+    timer.start()
+    try:  # item 1 sleeps for a second in the worker, which gets SIGINT after 0.3 s
+        out = pool.fan_out(sleep_and_pid, [0.0, 1.0], 2, processes=True)
+    except KeyboardInterrupt:
+        pytest.fail("SIGINT interrupted the worker's task")
+    finally:
+        timer.cancel()
+    assert out == [os.getpid(), worker]
+
+
+def test_worker_process_error_raises_in_the_caller_after_blas_is_restored(blas_at_two):
+    import math
+
+    from foucast import pool
+
+    with pytest.raises(ValueError, match="math domain error"):
+        pool.fan_out(math.sqrt, [1.0, -1.0], 2, processes=True)
+    assert blas_at_two() == 2
+
+
+NESTED_FAN_OUT = """\
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy  # noqa: F401  (maps the OpenBLAS the pool holds at one thread)
+
+from foucast import pool
+
+
+def job(_):
+    return pool.fan_out(abs, [-1, -2, -3, -4], 2, processes=True)
+
+
+if __name__ == "__main__":
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as ex:
+        print(ex.submit(job, 0).result())
+"""
+
+
+def test_child_process_that_fans_out_to_processes_exits(tmp_path):
+    """A multiprocessing child joins its own children when it exits, so its worker
+    processes must have been shut down by then, or it would wait forever."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import foucast
+
+    script = tmp_path / "nested.py"
+    script.write_text(NESTED_FAN_OUT)
+    env = {**os.environ, "PYTHONPATH": str(Path(foucast.__file__).parents[1])}
+    run = subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = run.communicate(timeout=120)
+    finally:  # a hung child and its workers are stopped with the script
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+    assert run.returncode == 0, err
+    assert out.strip() == "[1, 2, 3, 4]"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

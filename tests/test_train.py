@@ -116,11 +116,13 @@ def test_no_events_rejected():
         train_model(model, [], TrainConfig())
 
 
-def train_with_pool(monkeypatch, workers, steps=(2, 2)):
+def train_with_pool(monkeypatch, workers, steps=(2, 2), processes=False):
+    """Train the micro config on ``workers`` threads, or on worker processes, its own pool."""
     from foucast import train
 
     monkeypatch.setenv("FOUCAST_THREADS", str(workers))
-    monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)  # pool the micro config too
+    if not processes:
+        monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)  # thread-pool the micro config too
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=7)
     tcfg = TrainConfig(lr=0.003, batch=3, phase1_steps=steps[0], phase2_steps=steps[1], seed=7)
@@ -129,7 +131,7 @@ def train_with_pool(monkeypatch, workers, steps=(2, 2)):
 
 def test_pool_size_does_not_change_training(monkeypatch):
     """Losses, parameters and moments are bit-identical for pools of 1, 2 and 3 workers,
-    with threads switching far more often than usual."""
+    threads (switching far more often than usual) or processes."""
     import sys
 
     interval = sys.getswitchinterval()
@@ -138,6 +140,7 @@ def test_pool_size_does_not_change_training(monkeypatch):
         runs = [train_with_pool(monkeypatch, w) for w in (1, 2, 3)]
     finally:
         sys.setswitchinterval(interval)
+    runs += [train_with_pool(monkeypatch, w, processes=True) for w in (1, 2, 3)]
     for other in runs[1:]:
         assert other.history == runs[0].history
         assert np.array_equal(other.model.params.to_flat(), runs[0].model.params.to_flat())
@@ -311,22 +314,65 @@ def test_without_blas_setter_step_runs_on_one_worker(monkeypatch):
     assert threads == [threading.get_ident()] * (2 * 2 * 3)
 
 
-def test_small_samples_step_on_the_calling_thread(monkeypatch):
-    """Below POOL_MIN_ELEMENTS a pool would only contend for the GIL: the step runs serially."""
-    import threading
+class WithPid:
+    """Picklable wrapper of a pool task that also returns the pid of the process running it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, item):
+        import os
+
+        return os.getpid(), self.fn(item)
+
+
+def test_small_samples_step_on_worker_processes(monkeypatch):
+    """Below POOL_MIN_ELEMENTS a step's samples run on processes, which do not share the
+    interpreter lock: every W-th sample in the caller, the rest in another process."""
+    import os
 
     from foucast import pool, train
 
     monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
     small, big = micro_cfg(), micro_cfg(hw=128, hidden_hw=32, enc_channels=(8, 8, 8))
-    assert train.step_workers(small, 4, 3) == (1, 1)
-    assert train.step_workers(big, 4, 3) == (3, 1)
+    assert train.step_workers(small, 4, 3) == (3, 1, True)
+    assert train.step_workers(big, 4, 3) == (3, 1, False)
     monkeypatch.setenv("FOUCAST_THREADS", "3")
-    threads = []
-    recording(monkeypatch, train, "forward_tape", threads, threading.get_ident)
+    pids = []
+
+    def recording_fan_out(fn, items, max_workers, processes):
+        out = pool.fan_out(WithPid(fn), items, max_workers, processes)
+        pids.append([pid for pid, _ in out])
+        return [result for _, result in out]
+
+    monkeypatch.setattr(train, "fan_out", recording_fan_out)
     model = NowcastModel.initialize(small, seed=7)
-    train_model(model, make_events(small), TrainConfig(batch=3, phase1_steps=1, phase2_steps=1))
-    assert threads == [threading.get_ident()] * (2 * 3)
+    train_model(model, make_events(small, n=4), TrainConfig(batch=4, phase1_steps=1, phase2_steps=1))
+    assert len(pids) == 2
+    for step in pids:
+        assert [pid == os.getpid() for pid in step] == [True, False, False, True]
+
+
+def test_error_in_a_worker_process_names_the_step(monkeypatch, blas_at_two):
+    """A forward pass that overflows in a worker process, not in the caller, still stops the
+    step with a TrainError that names it, and the caller's BLAS count is restored."""
+    from foucast import train
+
+    monkeypatch.setenv("FOUCAST_THREADS", "2")
+    cfg = micro_cfg()
+    assert train.step_workers(cfg, 2, 2) == (2, 1, True)
+    model = NowcastModel.initialize(cfg, seed=0)
+    good, huge = prepare_events(model, make_events(cfg, n=2))
+    huge.frames = huge.frames.copy()
+    huge.frames[: cfg.t_in] = 1e308  # overflows the forward pass, before any loss
+    tcfg = TrainConfig(batch=2, phase1_steps=1, phase2_steps=0, seed=1)
+    # sample 0 runs in the caller, sample 1 in the worker
+    assert list(train.batch_indices(tcfg.seed, 0, 2, tcfg.batch)) == [0, 1]
+    state = TrainState(model=model, opt=init_state(model.params))
+    with np.errstate(all="ignore"), pytest.raises(TrainError, match="^step 0: ") as info:
+        train_step(state, [good, huge], tcfg)
+    assert isinstance(info.value.__cause__, ad.AutodiffError)
+    assert state.step == 0 and blas_at_two() == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -334,6 +380,7 @@ def test_non_finite_gradient_raises_before_the_optimizer_moves(monkeypatch):
     """A summed batch gradient that is not finite (each sample's may be) stops the step."""
     from foucast import train
 
+    monkeypatch.setenv("FOUCAST_THREADS", "1")  # the patch below does not reach worker processes
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=4)
     prepared = prepare_events(model, make_events(cfg))
