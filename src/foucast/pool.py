@@ -21,6 +21,8 @@ import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
+import numpy as np  # maps the OpenBLAS whose thread setter _openblas_threads looks up
+
 
 class ConfigError(ValueError):
     pass
@@ -90,8 +92,6 @@ def _init_worker() -> None:
     out.  A parent killed outright cannot shut it down, and the worker, which holds its own
     task queue's write end, would wait for tasks for good.
     """
-    import numpy  # noqa: F401  (maps the OpenBLAS whose setter is looked up)
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     _, put = _openblas_threads() or (None, lambda n: None)
@@ -114,8 +114,14 @@ def _executor(workers: int, processes: bool) -> Executor:
     return pool
 
 
+def _under_errstate(err: dict, fn, x):
+    with np.errstate(**err):
+        return fn(x)
+
+
 def fan_out(fn, items: list, max_workers: int, processes: bool = False) -> list:
-    """``[fn(x) for x in items]`` on ``pool_threads`` workers, OpenBLAS held at one thread.
+    """``[fn(x) for x in items]`` on ``pool_threads`` workers, OpenBLAS held at one thread,
+    each item under the caller's ``np.errstate`` (no worker inherits it).
 
     The calling thread maps every W-th item and W - 1 pool threads, or with
     ``processes`` W - 1 spawned worker processes, the rest; a worker process gets
@@ -124,6 +130,7 @@ def fan_out(fn, items: list, max_workers: int, processes: bool = False) -> list:
     when ``fn`` raises.  No worker starts until an item is submitted.
     """
     workers, _ = pool_threads(max_workers, len(items))
+    fn = functools.partial(_under_errstate, np.geterr(), fn)
     with one_blas_thread():
         futures = {k: _executor(workers - 1, processes).submit(fn, x)
                    for k, x in enumerate(items) if k % workers}

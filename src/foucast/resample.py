@@ -1,4 +1,4 @@
-"""Linear resampling as weight matrices.
+"""Linear resampling as weight matrices, and a Gaussian blur bit-equal to scipy's.
 
 ``lerp_matrix`` builds the linear-interpolation weights from one increasing
 axis to another, clamped at the ends.  Bilinear spatial resizing applies one
@@ -8,6 +8,8 @@ exactly at any target resolution and same-size resampling is the identity.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,3 +45,29 @@ def bilinear_resize(field: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     rows = np.linspace(0.0, h - 1.0, oh) if oh > 1 else np.array([(h - 1) / 2.0])
     cols = np.linspace(0.0, w - 1.0, ow) if ow > 1 else np.array([(w - 1) / 2.0])
     return lerp_matrix(np.arange(h), rows) @ field @ lerp_matrix(np.arange(w), cols).T
+
+
+@functools.cache
+def _blur_plan(n: int, sigmas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of n samples reflect-padded by the largest radius R, and scipy's half-kernels."""
+    radii = [int(4.0 * s + 0.5) for s in sigmas]
+    taps = np.zeros((len(sigmas), max(radii) + 1))
+    for c, (s, r) in enumerate(zip(sigmas, radii)):
+        phi = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
+        taps[c, : r + 1] = (phi / phi.sum())[r:]
+    return np.pad(np.arange(n), max(radii), mode="symmetric"), taps[:, :, None, None]
+
+
+def gaussian_blur(stack: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
+    """Blur each (H, W) field of an (N, C, H, W) stack at ``sigmas[c]`` as scipy does: along
+    H then W, x[i] w[0] plus (x[i - j] + x[i + j]) w[j] for j from the radius down to 1."""
+    for _ in range(2):  # H, then W swapped into its place
+        idx, w = _blur_plan(stack.shape[2], tuple(sigmas))
+        r_max, n = w.shape[1] - 1, stack.shape[2]
+        padded = stack[:, :, idx]
+        acc = padded[:, :, r_max : r_max + n] * w[:, 0]
+        for j in range(r_max, 0, -1):  # skip radii below j: a zero tap turns -0.0 into +0.0
+            pair = padded[:, :, r_max - j : r_max - j + n] + padded[:, :, r_max + j : r_max + j + n]
+            np.add(acc, pair * w[:, j], out=acc, where=w[:, j] > 0)
+        stack = acc.swapaxes(2, 3)
+    return stack

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import tensorfile
 from .pool import default_workers, fan_out
-from .resample import bilinear_resize
+from .resample import bilinear_resize, gaussian_blur
 
 VARIABLES = ("geopotential", "humidity", "temperature", "u_wind", "v_wind")
 LEVELS_HPA = (500, 600, 700, 850)
@@ -26,6 +25,8 @@ N_COV_CHANNELS = len(VARIABLES) * len(LEVELS_HPA)
 CADENCE_MINUTES = 10.0
 MANIFEST_VERSION = "1"
 MIN_GRID_PX = 8  # smallest radar or covariate grid side
+# Per variable: gain, blur sigma at level 0 and its step per level; the last two blur the winds.
+_LEVEL_BLURS = ((1.0, 1.0, 0.6), (0.8, 0.8, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.6, 0.5), (1.0, 0.6, 0.5))
 
 
 class SynthError(ValueError):
@@ -197,23 +198,12 @@ def _make_covariates(cfg, rng, frames, cx, cy, vx, vy, amps) -> CovariateGrid:
 
 
 def _level_fields(coarse, u_field, v_field) -> np.ndarray:
-    """(N, M, H', W') channels from (N, H', W') lead stacks, variable-major then level.
-
-    Each channel is one blur over all leads; sigma 0 on the lead axis keeps
-    the leads apart, so every lead is filtered as a 2-D field on its own.
-    """
-    def blur(stack, sigma):
-        return ndimage.gaussian_filter(stack, (0.0, sigma, sigma))
-
-    n_lvl = len(LEVELS_HPA)
-    fields = np.zeros((coarse.shape[0], N_COV_CHANNELS) + coarse.shape[1:])
-    for lvl in range(n_lvl):
-        fields[:, lvl] = blur(coarse, 1.0 + 0.6 * lvl)
-        fields[:, lvl + n_lvl] = 0.8 * blur(coarse, 0.8 + 0.5 * lvl)
-        fields[:, lvl + 2 * n_lvl] = -blur(coarse, 1.0 + 0.5 * lvl)
-        fields[:, lvl + 3 * n_lvl] = blur(u_field, 0.6 + 0.5 * lvl)
-        fields[:, lvl + 4 * n_lvl] = blur(v_field, 0.6 + 0.5 * lvl)
-    return fields
+    """(N, M, H', W') channels from (N, H', W') lead stacks, variable-major then level;
+    one blur filters every lead of every channel as a 2-D field on its own."""
+    n = len(LEVELS_HPA)
+    gains, sigmas = zip(*((g, s0 + step * lvl) for g, s0, step in _LEVEL_BLURS for lvl in range(n)))
+    stack = np.stack((coarse, u_field, v_field), axis=1)[:, [0] * 3 * n + [1] * n + [2] * n]
+    return np.array(gains)[:, None, None] * gaussian_blur(stack, sigmas)
 
 
 # ---------------------------------------------------------------------------

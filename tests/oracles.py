@@ -11,7 +11,9 @@ cancel out.  The resize reference samples each 2-D slice with
 The convolution references unfold with ``sliding_window_view`` and fold back
 with one strided add per tap, where the library uses one strided view and one
 contiguous run per tap.  The covariate blur reference filters each lead and
-channel as its own 2-D field, where the library blurs all leads in one call.
+channel as its own 2-D field with ``scipy.ndimage.gaussian_filter``, where the
+library blurs every lead and channel in one numpy call.  scipy serves only
+these references; the library does not import it.
 """
 
 import numpy as np

@@ -210,6 +210,33 @@ def test_diverged_step_names_its_step(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+def test_diverged_step_warns_nowhere_under_the_callers_errstate(tmp_path, capfd, monkeypatch):
+    """The caller's ``np.errstate`` reaches the worker process that runs a step's second
+    sample: ignored overflows print no RuntimeWarning there either, and step 1 still stops."""
+    import functools
+
+    from foucast import pool
+
+    ini = write_ini(tmp_path / "c.ini")
+    ini.write_text(ini.read_text().replace("lr = 0.002", "lr = 1e300"))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(ini), "--out", str(data)]) == 0
+    # a pool of its own: a worker spawned now writes to the stderr this test captures
+    executor = functools.cache(pool._executor.__wrapped__)
+    monkeypatch.setattr(pool, "_executor", executor)
+    monkeypatch.setenv("FOUCAST_THREADS", "2")
+    try:
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--config", str(ini), "--manifest", str(data / "manifest.txt"),
+                       "--out", str(tmp_path / "run")])
+    finally:
+        executor(1, True).shutdown()
+    out, err = capfd.readouterr()
+    assert "train pool 2 worker(s) (processes)" in out
+    assert rc == 2 and "error: step 1: " in err
+    assert "RuntimeWarning" not in err
+
+
 def test_eval_overflowing_forecast_exits_2(tmp_path, capsys):
     """A checkpoint with finite but huge parameters overflows the forecast; eval stops with
     exit 2 and the tape's error, naming the event, not a traceback, and writes no metric CSV."""
@@ -1121,6 +1148,30 @@ def test_child_process_that_fans_out_to_processes_exits(tmp_path):
             run.communicate()
     assert run.returncode == 0, err
     assert out.strip() == "[1, 2, 3, 4]"
+
+
+POOL_BEFORE_NUMPY = """\
+from foucast import pool
+
+print(pool.fan_out(abs, [-1, -2, -3, -4], 2, processes=True), pool.pool_threads(2, 4))
+"""
+
+
+def test_pool_imported_before_numpy_still_finds_the_blas_setter():
+    """The BLAS setter lookup is cached for the process; a lookup made before numpy mapped
+    OpenBLAS would find none, and every fan-out in that process would run on one worker."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import foucast
+
+    env = {**os.environ, "PYTHONPATH": str(Path(foucast.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", POOL_BEFORE_NUMPY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[1, 2, 3, 4] (2, 1)"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -5,8 +5,9 @@ A module or function that only tests use is a second implementation or dead
 code; the entry points (``cli.py`` and ``__init__.py``) and the names in
 ``UNUSED_ALLOWED`` are the only exceptions.  ``pool.fan_out`` is the one
 fan-out, so only ``pool.py`` imports ``concurrent.futures``, and training,
-evaluation and dataset synthesis each fan out once.  Resampling is numpy weight matrices, so scipy
-stays in ``synth.py`` (its Gaussian blur).
+evaluation and dataset synthesis each fan out once.  Resampling and the
+covariate blur are numpy, so no module imports scipy: the package needs numpy
+alone, and the tests keep scipy as an oracle.
 """
 
 import ast
@@ -173,7 +174,21 @@ def test_fan_out_has_one_call_site_per_caller():
     assert calls == {"train": 1, "evaluate": 1, "synth": 1}, f"fan_out call sites per module: {calls}"
 
 
-def test_only_synth_imports_scipy():
+def test_no_src_module_imports_scipy():
     importers = sorted(p.stem for p in SRC.glob("*.py")
                        if "scipy" in absolute_imports(ast.parse(p.read_text())))
-    assert importers == ["synth"], f"modules importing scipy: {importers}"
+    assert importers == [], f"modules importing scipy: {importers}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Also no scipy module that a third-party import pulls in, which the scan above misses."""
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, foucast.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

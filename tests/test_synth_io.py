@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from foucast import synth, tensorfile
-from foucast.resample import bilinear_resize, lerp_matrix
+from foucast.resample import bilinear_resize, gaussian_blur, lerp_matrix
 from foucast.synth import (
     N_COV_CHANNELS,
     SynthError,
@@ -178,6 +179,26 @@ def test_lerp_rejects_bad_source(src, match):
         lerp_matrix(src, [5.0])
 
 
+@pytest.mark.parametrize("hw", [(8, 8), (11, 11), (16, 16), (32, 32), (11, 16)],
+                         ids=["8", "11", "16", "32", "11x16"])
+def test_gaussian_blur_matches_scipy_bit_for_bit(hw):
+    """Ten sigmas from 0.6 to 3.0 as channels, leads from 1e-3 to 1e3 in magnitude.
+
+    Bit-equality rests on scipy's taps and summation order, with no fused
+    multiply-add; a scipy build that sums otherwise fails here first.  Lead 0 is
+    -0.0 but for one impulse: past a channel's radius it must stay -0.0.
+    """
+    rng = np.random.default_rng(sum(hw))
+    sigmas = tuple(np.linspace(0.6, 3.0, 10).tolist())
+    stack = rng.standard_normal((8, 10) + hw) * np.logspace(-3, 3, 8)[:, None, None, None]
+    stack[0] = -0.0
+    stack[0, :, hw[0] // 2, hw[1] // 2] = 1.0
+    out = gaussian_blur(stack, sigmas)
+    for c, s in enumerate(sigmas):
+        ref = ndimage.gaussian_filter(stack[:, c], (0, s, s))
+        assert out[:, c].tobytes() == ref.tobytes(), s
+
+
 # --- event generation -------------------------------------------------------
 
 
@@ -192,10 +213,12 @@ def small_cfg(**kw):
     {"k_out": 1},                 # one lead
     {"k_out": 7},                 # four leads, odd k_out
     {"cov_hw": 11},
+    {"cov_hw": 8},                # radius 11 at sigma 2.8 > 8 px: reflects more than once
     {"n_blobs": 0},
     {"noise_amp": 0.0},
     {"seed": 3, "hw": 48, "t_in": 2, "k_out": 5, "cov_hw": 9},
-], ids=["default", "one_lead", "four_leads", "cov_hw_11", "no_blobs", "no_noise", "mixed"])
+], ids=["default", "one_lead", "four_leads", "cov_hw_11", "cov_hw_8", "no_blobs", "no_noise",
+        "mixed"])
 def test_covariate_blur_over_leads_matches_per_lead_oracle(monkeypatch, kw):
     """One blur per channel over all leads gives every bit of one blur per lead and channel."""
     cfg = small_cfg(**kw)
