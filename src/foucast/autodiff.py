@@ -10,7 +10,11 @@ finite-difference checker.
 
 The graph built by the ops below is the tape: nodes are created in execution
 order and replayed strictly in reverse, so gradients are deterministic for a
-fixed forward pass.
+fixed forward pass.  A leaf built with ``Var(...)`` needs a gradient; a plain
+array passed to an op is a constant and gets none, and a node needs one when
+a parent does.  The sweep only computes and keeps cotangents that are needed.
+No reverse rule writes into its cotangent argument and the sweep sums
+contributions out of place, so a rule may hand on a view of it.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ def no_grad():
 
 
 class Var:
-    """One node of the tape: a value, its parents, and the reverse rule."""
+    """One node of the tape: a value, its parents, the reverse rule, and whether it ``needs``
+    a gradient."""
 
-    __slots__ = ("value", "grad", "op", "_parents", "_vjp", "_id")
+    __slots__ = ("value", "grad", "op", "needs", "_parents", "_vjp", "_id")
 
-    def __init__(self, value, parents=(), vjp=None, op="leaf"):
+    def __init__(self, value, parents=(), vjp=None, op="leaf", needs=True):
         v = np.asarray(value)
         if np.iscomplexobj(v):
             v = v.astype(np.complex128, copy=False)
@@ -61,11 +66,12 @@ class Var:
         else:
             self._parents = ()
             self._vjp = None
+        self.needs = any(p.needs for p in self._parents) if parents else needs
         self._id = next(_NODE_COUNTER)
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    return x if isinstance(x, Var) else Var(x, needs=False)  # a constant
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,10 +95,12 @@ def _accumulate(node: Var, contrib: np.ndarray, op: str, check: bool) -> None:
         )
     if np.iscomplexobj(c) and not np.iscomplexobj(node.value):
         c = c.real
-    if node.grad is None:
-        node.grad = c.astype(node.value.dtype, order="C")  # a copy: rules may return views
+    if node.grad is not None:
+        node.grad = node.grad + c  # out of place: the first contribution may be a view
+    elif node._parents:
+        node.grad = np.asarray(c, node.value.dtype, order="C")
     else:
-        node.grad += c
+        node.grad = np.array(c, node.value.dtype, order="C")  # a leaf's gradient is its own
 
 
 def _sweep(order: list[Var], check: bool) -> None:
@@ -106,14 +114,16 @@ def _sweep(order: list[Var], check: bool) -> None:
         contribs = v._vjp(v.grad)
         v.grad = None  # spent: freeing interior cotangents bounds the sweep's memory
         for parent, contrib in zip(v._parents, contribs):
-            _accumulate(parent, contrib, v.op, check)
+            if parent.needs:
+                _accumulate(parent, contrib, v.op, check)
 
 
 def backward(loss: Var) -> None:
-    """Reverse sweep from a scalar real loss; fills ``grad`` on the reachable leaves.
+    """Reverse sweep from a scalar real loss; fills ``grad`` on the reachable leaves
+    that need one.  Constants, plain arrays passed to an op, get no contribution.
 
-    Finiteness is checked once, on the gradients of the leaves the sweep reached
-    (parameters and constant inputs alike).  If one is non-finite, the sweep is
+    Finiteness is checked once, on the gradients of the leaves that need one
+    (parameters and ``Var`` inputs alike).  If one is non-finite, the sweep is
     replayed with every contribution checked, so the error names the first op
     whose reverse rule produced a non-finite value; if every contribution is
     finite, a leaf's sum overflowed, and that raises too.
@@ -151,7 +161,8 @@ def add(a, b) -> Var:
     out = a.value + b.value
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return (_unbroadcast(g, a.value.shape) if a.needs else None,
+                _unbroadcast(g, b.value.shape) if b.needs else None)
 
     return Var(out, (a, b), vjp, op="add")
 
@@ -161,7 +172,8 @@ def sub(a, b) -> Var:
     out = a.value - b.value
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
+        return (_unbroadcast(g, a.value.shape) if a.needs else None,
+                _unbroadcast(-g, b.value.shape) if b.needs else None)
 
     return Var(out, (a, b), vjp, op="sub")
 
@@ -171,8 +183,8 @@ def mul(a, b) -> Var:
     out = a.value * b.value
 
     def vjp(g):
-        ga = _unbroadcast(g * np.conj(b.value), a.value.shape)
-        gb = _unbroadcast(g * np.conj(a.value), b.value.shape)
+        ga = _unbroadcast(g * np.conj(b.value), a.value.shape) if a.needs else None
+        gb = _unbroadcast(g * np.conj(a.value), b.value.shape) if b.needs else None
         return ga, gb
 
     return Var(out, (a, b), vjp, op="mul")
@@ -186,8 +198,9 @@ def div(a, b) -> Var:
     out = a.value / b.value
 
     def vjp(g):
-        ga = _unbroadcast(g / b.value, a.value.shape)
-        gb = _unbroadcast(-g * np.conj(a.value) / (b.value * b.value), b.value.shape)
+        ga = _unbroadcast(g / b.value, a.value.shape) if a.needs else None
+        gb = (_unbroadcast(-g * np.conj(a.value) / (b.value * b.value), b.value.shape)
+              if b.needs else None)
         return ga, gb
 
     return Var(out, (a, b), vjp, op="div")
@@ -300,8 +313,8 @@ def matmul(a, b) -> Var:
     out = a.value @ b.value
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.conj(b.value).swapaxes(-1, -2), a.value.shape)
-        gb = _unbroadcast(np.conj(a.value).swapaxes(-1, -2) @ g, b.value.shape)
+        ga = _unbroadcast(g @ np.conj(b.value).swapaxes(-1, -2), a.value.shape) if a.needs else None
+        gb = _unbroadcast(np.conj(a.value).swapaxes(-1, -2) @ g, b.value.shape) if b.needs else None
         return ga, gb
 
     return Var(out, (a, b), vjp, op="matmul")
@@ -337,8 +350,11 @@ def cabs(z) -> Var:
     r = np.abs(z.value)
 
     def vjp(g):
-        safe = np.where(r < _GUARD, 1.0, r)
-        return (np.where(r < _GUARD, 0.0, g * z.value / safe),)
+        small = r < _GUARD
+        out = np.multiply(g, z.value, out=np.empty_like(z.value))
+        out /= np.where(small, 1.0, r)
+        out[small] = 0
+        return (out,)
 
     return Var(r, (z,), vjp, op="cabs")
 
@@ -517,9 +533,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Var:
         g2 = g.reshape(cout, n_h * n_w)
         # im2col rebuilt from x: the tape keeps the input, not its k*k-fold copy
         gw = (g2 @ _im2col(x.value, k, stride, pad)[0].T).reshape(w.value.shape)
-        gx = _col2im(w2.T, g, cin, k, stride, (h + 2 * pad, ww + 2 * pad))
-        if pad:
-            gx = gx[:, pad:-pad, pad:-pad]
+        gx = None
+        if x.needs:  # the model's input images are constants
+            gx = _col2im(w2.T, g, cin, k, stride, (h + 2 * pad, ww + 2 * pad))
+            gx = gx[:, pad : pad + h, pad : pad + ww]
         return gx, gw, g.sum(axis=(1, 2))
 
     return Var(out, (x, w, b), vjp, op="conv2d")

@@ -163,13 +163,14 @@ def regrid(cov: CovariateGrid, target_minutes: np.ndarray, target_hw: tuple[int,
 # tape-side building blocks
 
 
-def _conv_relu(x: Var, leaves, name: str, stride: int = 1, pad: int = 1, act: bool = True) -> Var:
+def _conv_relu(x: Var | np.ndarray, leaves, name: str, stride: int = 1, pad: int = 1, act: bool = True) -> Var:
     y = ad.conv2d(x, leaves[f"{name}.w"], leaves[f"{name}.b"], stride=stride, pad=pad)
     return ad.relu(y) if act else y
 
 
-def _encoder(x: Var, leaves, prefix: str) -> Var:
-    """``{prefix}1..4``: 3x3 convs at strides 1, 2, 2, 1, with a ReLU after all but the last."""
+def _encoder(x: Var | np.ndarray, leaves, prefix: str) -> Var:
+    """``{prefix}1..4``: 3x3 convs at strides 1, 2, 2, 1, with a ReLU after all but the last.
+    A plain array ``x`` is a constant input: the tape computes no gradient for it."""
     for i, stride in enumerate((1, 2, 2, 1), start=1):
         x = _conv_relu(x, leaves, f"{prefix}{i}", stride=stride, act=i < 4)
     return x
@@ -179,7 +180,7 @@ def encode_tape(frames: np.ndarray, leaves, cfg: ModelConfig) -> Var:
     """Radar encoder: (T, 1, hw, hw) frames to a (c_emb, hidden, hidden) map."""
     if frames.shape != (cfg.t_in, 1, cfg.hw, cfg.hw):
         raise ModelError(f"input frames {frames.shape} != {(cfg.t_in, 1, cfg.hw, cfg.hw)}")
-    return _encoder(Var(frames.reshape(cfg.t_in, cfg.hw, cfg.hw), op="input"), leaves, "enc")
+    return _encoder(frames.reshape(cfg.t_in, cfg.hw, cfg.hw), leaves, "enc")
 
 
 def decode_tape(h: Var, leaves, cfg: ModelConfig) -> Var:
@@ -196,7 +197,7 @@ def embed_covariates_tape(cov_aligned: np.ndarray, leaves, cfg: ModelConfig) -> 
     k, m, hh, ww = cov_aligned.shape
     if (k, m, hh, ww) != (cfg.k_out, N_COV_CHANNELS, cfg.hidden_hw, cfg.hidden_hw):
         raise ModelError(f"aligned covariates {cov_aligned.shape} do not match config")
-    x = Var(cov_aligned.reshape(k * m, hh, ww), op="covariates")
+    x = cov_aligned.reshape(k * m, hh, ww)
     return ad.conv2d(x, leaves["cov_proj.w"], leaves["cov_proj.b"], stride=1, pad=0)
 
 
@@ -208,7 +209,7 @@ def mem_encode_tape(frames: np.ndarray, leaves, cfg: ModelConfig) -> Var:
     """
     flat = frames.reshape(frames.shape[0], cfg.hw, cfg.hw)
     summary = np.stack([flat.mean(axis=0), flat[-1], flat[-1] - flat[0]])
-    h = _encoder(Var(summary, op="mem_summary"), leaves, "mem")
+    h = _encoder(summary, leaves, "mem")
     return ad.rfft2(ad.transpose(h, (1, 2, 0)))
 
 

@@ -48,26 +48,34 @@ def bilinear_resize(field: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
 
 
 @functools.cache
-def _blur_plan(n: int, sigmas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of n samples reflect-padded by the largest radius R, and scipy's half-kernels."""
+def _blur_plan(n: int, sigmas: tuple[float, ...]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Indices of n samples reflect-padded by the largest radius R, the channel order widest
+    radius first, scipy's half-kernels in that order, and per tap j how many channels reach j."""
     radii = [int(4.0 * s + 0.5) for s in sigmas]
+    order = np.argsort([-r for r in radii], kind="stable")
     taps = np.zeros((len(sigmas), max(radii) + 1))
-    for c, (s, r) in enumerate(zip(sigmas, radii)):
+    for row, c in enumerate(order):
+        s, r = sigmas[c], radii[c]
         phi = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
-        taps[c, : r + 1] = (phi / phi.sum())[r:]
-    return np.pad(np.arange(n), max(radii), mode="symmetric"), taps[:, :, None, None]
+        taps[row, : r + 1] = (phi / phi.sum())[r:]
+    reach = tuple(sum(r >= j for r in radii) for j in range(max(radii) + 1))
+    return np.pad(np.arange(n), max(radii), mode="symmetric"), taps[:, :, None, None], order, reach
 
 
 def gaussian_blur(stack: np.ndarray, sigmas: tuple[float, ...]) -> np.ndarray:
     """Blur each (H, W) field of an (N, C, H, W) stack at ``sigmas[c]`` as scipy does: along
     H then W, x[i] w[0] plus (x[i - j] + x[i + j]) w[j] for j from the radius down to 1."""
+    order = _blur_plan(stack.shape[2], tuple(sigmas))[2]
+    stack = stack[:, order]
     for _ in range(2):  # H, then W swapped into its place
-        idx, w = _blur_plan(stack.shape[2], tuple(sigmas))
+        idx, w, _, reach = _blur_plan(stack.shape[2], tuple(sigmas))
         r_max, n = w.shape[1] - 1, stack.shape[2]
         padded = stack[:, :, idx]
         acc = padded[:, :, r_max : r_max + n] * w[:, 0]
-        for j in range(r_max, 0, -1):  # skip radii below j: a zero tap turns -0.0 into +0.0
-            pair = padded[:, :, r_max - j : r_max - j + n] + padded[:, :, r_max + j : r_max + j + n]
-            np.add(acc, pair * w[:, j], out=acc, where=w[:, j] > 0)
+        for j in range(r_max, 0, -1):  # only channels that reach j: a zero tap turns -0.0 into +0.0
+            m = reach[j]
+            pair = padded[:, :m, r_max - j : r_max - j + n] + padded[:, :m, r_max + j : r_max + j + n]
+            acc[:, :m] += pair * w[:m, j]
         stack = acc.swapaxes(2, 3)
-    return stack
+    return stack[:, np.argsort(order)]

@@ -352,7 +352,7 @@ def model_conv_calls(cfg):
     with pytest.MonkeyPatch.context() as mp, no_grad():
         for op in ("conv2d", "conv2d_transpose"):
             def record(x, w, b, stride=1, pad=0, _op=op, _fn=getattr(ad, op)):
-                calls.add((_op, x.value.shape, w.value.shape, stride, pad))
+                calls.add((_op, ad.as_var(x).value.shape, w.value.shape, stride, pad))  # x may be an array
                 return _fn(x, w, b, stride=stride, pad=pad)
             mp.setattr(ad, op, record)
         forward_tape(leaves, cfg, rng.random((cfg.t_in, 1, cfg.hw, cfg.hw)),
@@ -386,8 +386,8 @@ def check_conv_call(call, rng):
     b = rng.standard_normal(w_shape[1] if op == "conv2d_transpose" else w_shape[0])
     cols = ad._im2col(x, w_shape[2], stride, pad)[0]
     assert np.array_equal(cols, oracles.sliding_im2col(x, w_shape[2], stride, pad)[0]), call
-    for xin in (x, transposed_copy(x)):
-        y = getattr(ad, op)(xin, w, b, stride=stride, pad=pad)
+    for xin in (x, transposed_copy(x)):  # Var leaves: the inputs under test need gradients
+        y = getattr(ad, op)(Var(xin), Var(w), Var(b), stride=stride, pad=pad)
         if op == "conv2d":
             g = rng.standard_normal(y.value.shape)
             want, want_grads = oracles.conv2d_reference(x, w, b, g, stride, pad)
@@ -537,3 +537,81 @@ def test_leaf_sum_overflow_raises():
     loss = total(ad.add(ad.mul(x, 1e308), ad.mul(x, 1e308)))
     with pytest.raises(ad.AutodiffError, match="overflowed"):
         backward(loss)
+
+
+# --- what the sweep computes and keeps ------------------------------------
+
+
+def test_rule_on_a_constant_only_branch_never_runs():
+    """Plain arrays are constants: a node built only from them needs no gradient."""
+    calls = {}
+    x = Var(np.array([1.0, -2.0, 3.0]))
+    c = counted(ad.mul(np.array([0.5, 1.5, 2.0]), 3.0), calls, "const")
+    backward(total(ad.mul(x, c)))
+    assert calls == {} and not c.needs and c.grad is None
+    assert np.array_equal(x.grad, c.value)
+
+
+def side_input_loss(side, w):
+    """A loss where ``side`` enters add, sub, mul, div, matmul and conv2d next to ``w``."""
+    y = ad.conv2d(side, w, np.zeros(3), pad=1)
+    y = ad.add(ad.mul(y, side), ad.sub(side, y))
+    y = ad.div(y, ad.add(ad.mul(side, side), 1.0))
+    y = ad.matmul(y, side)
+    spectrum = ad.fft2(ad.transpose(y, (1, 2, 0)))
+    return ad.mean(ad.cabs(ad.sub(spectrum, ad.fft2(ad.transpose(side, (1, 2, 0))))))
+
+
+def test_parameter_gradient_does_not_depend_on_a_side_input_being_a_leaf():
+    rng = np.random.default_rng(30)
+    w0, side = rng.standard_normal((3, 3, 3, 3)), rng.standard_normal((3, 5, 5))
+    grads = []
+    for side_input in (side, Var(side)):
+        w = Var(w0, op="param:w")
+        backward(side_input_loss(side_input, w))
+        grads.append(w.grad)
+    assert np.array_equal(grads[0], grads[1])
+    assert side_input.grad is not None and np.any(side_input.grad != 0)
+
+
+def every_op(rng):
+    """One node of each tape op, built on Var leaves so each rule computes every contribution."""
+    x, y = Var(rng.standard_normal((4, 6, 2))), Var(rng.standard_normal((4, 1, 2)))
+    z, u = Var(cplx(rng, 4, 6, 2)), Var(cplx(rng, 4, 2, 3))
+    half = Var(cplx(rng, 4, 4, 2))
+    img, b = Var(rng.standard_normal((2, 6, 6))), Var(np.ones(3))
+    w, wt = Var(rng.standard_normal((3, 2, 3, 3))), Var(rng.standard_normal((2, 3, 4, 4)))
+    mask = rng.random((4, 6, 2)) > 0.5
+    return [
+        ad.add(x, y), ad.sub(x, y), ad.mul(z, y), ad.div(z, ad.add(ad.mul(y, y), 1.0)),
+        ad.relu(x), ad.relu(z), ad.cis(x), ad.sigmoid(x), ad.softmax(x, axis=1), ad.mean(x),
+        ad.reshape(x, (8, 6)), ad.transpose(x, (2, 0, 1)), ad.where(mask, x, y),
+        ad.matmul(z, u), ad.creal(z), ad.conj(z), ad.cabs(z), ad.carg(z), ad.cunit(z),
+        ad.rfft2(x), ad.fft2(x), ad.ifft2(z), ad.hermitian_expand(half, 6),
+        ad.conv2d(img, w, b, stride=2, pad=1), ad.conv2d_transpose(img, wt, b, stride=2, pad=1),
+    ]
+
+
+def test_no_reverse_rule_writes_into_its_cotangent():
+    rng = np.random.default_rng(31)
+    nodes = every_op(rng)
+    assert {n.op for n in nodes} == {
+        "add", "sub", "mul", "div", "relu", "cis", "sigmoid", "softmax", "mean", "reshape",
+        "transpose", "where", "matmul", "creal", "conj", "cabs", "carg", "cunit", "rfft2",
+        "fft2", "ifft2", "hermitian_expand", "conv2d", "conv2d_transpose",
+    }
+    for node in nodes:
+        shape = node.value.shape
+        g = cplx(rng, *shape) if np.iscomplexobj(node.value) else rng.standard_normal(shape)
+        g = np.asarray(g)
+        g.setflags(write=False)
+        contribs = node._vjp(g)
+        assert all(c is not None for c in contribs), node.op
+
+
+def test_leaves_fed_by_one_add_hold_their_own_gradients():
+    """``add`` hands both parents the same cotangent; each leaf still gets its own array."""
+    a, b = Var(np.ones(3)), Var(np.ones(3))
+    backward(total(ad.add(a, b)))
+    assert np.array_equal(a.grad, [1.0, 1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)

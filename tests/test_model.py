@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foucast import autodiff, train
 from foucast.autodiff import AutodiffError, Var, backward, no_grad
 from foucast.model import (
     ModelConfig,
@@ -317,6 +318,29 @@ def test_modules_can_be_disabled():
             seq, cov = micro_batch(cfg, seed=6)
         pred = model.predict(seq, cov)
         assert pred.shape == (cfg.k_out, 1, cfg.hw, cfg.hw)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_only_parameters_hold_gradients_after_a_sample(phase, monkeypatch):
+    """Frames, targets, covariates and the memory summary enter the tape as constants, so
+    after a sample's sweep every leaf that holds a gradient is a parameter."""
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=7)
+    [ev] = train.prepare_events(model, [micro_batch(cfg, seed=9)])
+    losses = []
+    monkeypatch.setattr(autodiff, "backward", lambda loss: (losses.append(loss), backward(loss)))
+    train.sample_grads(model.params, cfg, phase, 1.0, ev)
+    [loss] = losses
+    seen, stack = {loss._id: loss}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p._id not in seen:
+                seen[p._id] = p
+                stack.append(p)
+    leaves = [v for v in seen.values() if not v._parents]
+    held = [v.op for v in leaves if v.grad is not None]
+    assert held and all(op.startswith("param:") for op in held), held
+    assert any(not v.needs for v in leaves)  # the constants are on the graph
 
 
 def test_gradient_reaches_every_parameter_group():
