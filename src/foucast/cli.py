@@ -17,19 +17,14 @@ from .optim import OPTIMIZER_SCALARS
 from .pool import default_workers, pool_threads
 from .synth import CADENCE_MINUTES, Manifest, SynthError, load_event, read_manifest, synth_dataset
 from .tensorfile import TensorFileError
-from .train import TrainError, TrainState, step_workers, train_model
+from .train import TrainError, TrainState, samples_on_processes, train_model
 
 
 def _load_split(manifest: Manifest, split: str, cfg: ModelConfig):
     """The split's events, once the manifest's data is known to fit the model config."""
     expect = dict(t_in=cfg.t_in, k_out=cfg.k_out, hw=cfg.hw, cadence_minutes=CADENCE_MINUTES)
     for key, want in expect.items():
-        got = manifest.meta.get(key)
-        try:
-            matches = float(got) == want
-        except (TypeError, ValueError):
-            raise ConfigError(f"manifest {key} = {got} is not a number") from None
-        if not matches:
+        if float(got := manifest.meta[key]) != want:
             raise ConfigError(f"manifest {key} = {got} does not match the model's {key} = {want}")
     return [load_event(entry, manifest) for entry in manifest.split(split)]
 
@@ -69,8 +64,9 @@ def cmd_train(args) -> int:
     events = _load_split(manifest, "train", cfg.model)
     if not events:
         raise TrainError("manifest has no train events")
-    pool, blas, processes = step_workers(cfg.model, workers, min(tcfg.batch, len(events)))
-    print(f"train pool {pool} worker(s) ({'processes' if processes else 'threads'}), "
+    pool, blas = pool_threads(workers, min(tcfg.batch, len(events)))
+    kind = "processes" if samples_on_processes(cfg.model) else "threads"
+    print(f"train pool {pool} worker(s) ({kind}), "
           f"BLAS threads per worker: {blas or 'not settable'}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,34 +17,25 @@ import numpy as np
 
 from . import metrics
 from .autodiff import AutodiffError
-from .metrics import ContingencyCounts
 from .model import NowcastModel
 from .pool import default_workers, fan_out
 from .synth import CADENCE_MINUTES, CovariateGrid, RadarSequence
 
 
-@dataclass
-class _SampleStats:
-    """Per-lead scores of one sample; every total is a sum over the leads."""
-
-    lead_counts: list[dict[float, ContingencyCounts]]
-    lead_sq: np.ndarray
-    lead_abs: np.ndarray
-    lead_ssim: np.ndarray
-
-
-def _score_sample(pred: np.ndarray, target: np.ndarray, thresholds) -> _SampleStats:
+def _score_sample(pred: np.ndarray, target: np.ndarray, thresholds):
+    """One sample's per-lead scores: contingency counts (K, T, 4), and the squared-error
+    sum, absolute-error sum and SSIM of each lead, (K,) each."""
     k = pred.shape[0]
-    stats = _SampleStats(lead_counts=[], lead_sq=np.zeros(k), lead_abs=np.zeros(k),
-                         lead_ssim=np.zeros(k))
+    counts = np.zeros((k, len(thresholds), 4), dtype=np.int64)
+    sq, ab, ssim = np.zeros(k), np.zeros(k), np.zeros(k)
     for j in range(k):
         p, g = pred[j, 0], target[j, 0]
-        stats.lead_counts.append({t: metrics.contingency(p, g, t) for t in thresholds})
+        counts[j] = metrics.contingency(p, g, thresholds)
         d = metrics.PIXEL_SCALE * (p - g)
-        stats.lead_sq[j] = float(np.sum(d * d))
-        stats.lead_abs[j] = float(np.sum(np.abs(d)))
-        stats.lead_ssim[j] = metrics.ssim(p[None], g[None])
-    return stats
+        sq[j] = float(np.sum(d * d))
+        ab[j] = float(np.sum(np.abs(d)))
+        ssim[j] = metrics.ssim(p[None], g[None])
+    return counts, sq, ab, ssim
 
 
 @dataclass
@@ -84,35 +75,29 @@ def evaluate_model(
     stats = fan_out(work, list(enumerate(events)), max_workers or default_workers())
 
     k = cfg.k_out
-    lead_total = [{t: sum((s.lead_counts[j][t] for s in stats), ContingencyCounts())
-                   for t in thresholds} for j in range(k)]
-    lead_sq = sum(s.lead_sq for s in stats)
-    lead_ab = sum(s.lead_abs for s in stats)
-    lead_ssim = sum(s.lead_ssim for s in stats)
-    total = {t: sum((lead[t] for lead in lead_total), ContingencyCounts()) for t in thresholds}
+    counts, lead_sq, lead_ab, lead_ssim = (sum(parts) for parts in zip(*stats))
+    total = counts.sum(axis=0)
     lead_pix = len(stats) * cfg.hw * cfg.hw  # every prediction is (k, 1, hw, hw)
 
-    report = EvalReport(tag=tag, thresholds=list(thresholds))
-    report.csi = {t: metrics.csi(total[t]) for t in thresholds}
-    report.hss = {t: metrics.hss(total[t]) for t in thresholds}
-    report.csi_avg = metrics.average_over_thresholds(report.csi)
-    report.hss_avg = metrics.average_over_thresholds(report.hss)
-    report.mse = float(lead_sq.sum() / (k * lead_pix))
-    report.mae = float(lead_ab.sum() / (k * lead_pix))
-    report.psnr = metrics.psnr(report.mse)
-    report.ssim = float(lead_ssim.sum() / (k * len(stats)))
-    for j in range(k):
-        m = lead_sq[j] / lead_pix
-        report.lead_rows.append({
+    csi = {t: metrics.csi(c) for t, c in zip(thresholds, total)}
+    hss = {t: metrics.hss(c) for t, c in zip(thresholds, total)}
+    mse = float(lead_sq.sum() / (k * lead_pix))
+    lead_mse = lead_sq / lead_pix
+    return EvalReport(
+        tag=tag, thresholds=list(thresholds), csi=csi, hss=hss,
+        csi_avg=metrics.average_over_thresholds(csi), hss_avg=metrics.average_over_thresholds(hss),
+        mse=mse, mae=float(lead_ab.sum() / (k * lead_pix)), psnr=metrics.psnr(mse),
+        ssim=float(lead_ssim.sum() / (k * len(stats))),
+        lead_rows=[{
             "lead": (j + 1) * CADENCE_MINUTES,
-            "csi": float(np.mean([metrics.csi(lead_total[j][t]) for t in thresholds])),
-            "hss": float(np.mean([metrics.hss(lead_total[j][t]) for t in thresholds])),
-            "mse": m,
+            "csi": float(np.mean([metrics.csi(c) for c in counts[j]])),
+            "hss": float(np.mean([metrics.hss(c) for c in counts[j]])),
+            "mse": lead_mse[j],
             "mae": lead_ab[j] / lead_pix,
-            "psnr": metrics.psnr(m),
+            "psnr": metrics.psnr(lead_mse[j]),
             "ssim": lead_ssim[j] / len(stats),
-        })
-    return report
+        } for j in range(k)],
+    )
 
 
 def write_reports(out_dir: str | Path, report: EvalReport) -> list[Path]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,49 +45,41 @@ def _frames(x: np.ndarray) -> np.ndarray:
 # categorical skill
 
 
-@dataclass
-class ContingencyCounts:
-    hits: int = 0
-    misses: int = 0
-    false_alarms: int = 0
-    correct_negatives: int = 0
+def contingency(pred: np.ndarray, gt: np.ndarray, thresholds) -> np.ndarray:
+    """Pixelwise event counts over the last two axes at each 0-255 threshold; event means
+    value >= threshold.
 
-    def __add__(self, other: "ContingencyCounts") -> "ContingencyCounts":
-        return ContingencyCounts(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.false_alarms + other.false_alarms,
-            self.correct_negatives + other.correct_negatives,
-        )
-
-
-def contingency(pred: np.ndarray, gt: np.ndarray, threshold: float) -> ContingencyCounts:
-    """Pixelwise event counts at a 0-255 threshold; event means value >= threshold."""
-    if not 0.0 <= threshold <= 255.0:
-        raise MetricError(f"threshold must lie in [0, 255], got {threshold}")
+    Returns (..., T, 4) int64 counts: hits, misses, false alarms, correct negatives.
+    """
+    t = np.asarray(thresholds, dtype=np.float64)
+    if t.ndim != 1:
+        raise MetricError(f"thresholds must be a 1-D list, got shape {t.shape}")
+    if not np.all((0.0 <= t) & (t <= 255.0)):  # NaN fails as well
+        raise MetricError(f"thresholds must lie in [0, 255], got {thresholds}")
     pred, gt = _check_match(pred, gt)
-    pe = pred * PIXEL_SCALE >= threshold
-    ge = gt * PIXEL_SCALE >= threshold
-    hits = int(np.count_nonzero(pe & ge))
-    n_pe = int(np.count_nonzero(pe))
-    n_ge = int(np.count_nonzero(ge))
-    return ContingencyCounts(
-        hits=hits,
-        misses=n_ge - hits,
-        false_alarms=n_pe - hits,
-        correct_negatives=pe.size - n_pe - n_ge + hits,
-    )
+    t = t[:, None, None]
+    pe = (pred * PIXEL_SCALE)[..., None, :, :] >= t
+    ge = (gt * PIXEL_SCALE)[..., None, :, :] >= t
+    n = pred.shape[-2] * pred.shape[-1]
+    # one count_nonzero per (H, W) frame: with an axis it ran 5x slower on 128 x 128 frames
+    hits, n_pe, n_ge = (np.array([np.count_nonzero(f) for f in e.reshape(-1, n)],
+                                 dtype=np.int64).reshape(e.shape[:-2]) for e in (pe & ge, pe, ge))
+    return np.stack([hits, n_ge - hits, n_pe - hits, n - n_pe - n_ge + hits], axis=-1)
 
 
-def csi(c: ContingencyCounts) -> float:
-    denom = c.hits + c.misses + c.false_alarms
-    return c.hits / denom if denom else 0.0
+def csi(counts) -> float:
+    """Critical success index of one (hits, misses, false alarms, correct negatives) row."""
+    a, m, b, _ = map(int, counts)
+    denom = a + m + b
+    return a / denom if denom else 0.0
 
 
-def hss(c: ContingencyCounts) -> float:
-    a, b, m, d = c.hits, c.false_alarms, c.misses, c.correct_negatives
+def hss(counts) -> float:
+    """Heidke skill score of one count row, in Python ints: exact at any total, where int64
+    products overflow once a report's totals pass about 6e9 pixels."""
+    a, m, b, d = map(int, counts)
     denom = (a + m) * (m + d) + (a + b) * (b + d)
-    return 2.0 * (a * d - b * m) / denom if denom else 0.0
+    return 2 * (a * d - b * m) / denom if denom else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,11 @@ def read_manifest(path: str | Path) -> Manifest:
                 raise SynthError(f"{path} line {lineno}: {exc}") from None
     if (version := meta.get("version")) != MANIFEST_VERSION:
         raise SynthError(f"{path}: manifest version {version} is not {MANIFEST_VERSION}")
+    for key in ("t_in", "k_out", "hw", "cadence_minutes"):  # the event grid, read as numbers
+        try:
+            float(meta.get(key))
+        except (TypeError, ValueError):
+            raise SynthError(f"{path}: manifest {key} = {meta.get(key)} is not a number") from None
     if (missing := np.flatnonzero(np.isnan(cov_mean))).size:
         raise SynthError(f"{path}: no covstat line for covariate channel(s) "
                          f"{', '.join(map(str, missing))}")

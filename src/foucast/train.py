@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .model import EPS_UNIT, ModelConfig, NowcastModel, collect_grads, forward_tape, loss_tape, make_leaves
 from .optim import OPTIMIZER_SCALARS, OptimizerState, adamw_step, init_state
 from .params import ParamSet
-from .pool import default_workers, fan_out, pool_threads
+from .pool import default_workers, fan_out
 from .synth import CovariateGrid, RadarSequence
 
 
@@ -107,11 +107,9 @@ def batch_indices(seed: int, step: int, n_events: int, batch: int) -> np.ndarray
 POOL_MIN_ELEMENTS = 1 << 17
 
 
-def step_workers(cfg: ModelConfig, max_workers: int, n_samples: int) -> tuple[int, int | None, bool]:
-    """(pool size, BLAS threads per worker, whether the workers are processes) of a train
-    step over ``n_samples``."""
-    processes = cfg.hw * cfg.hw * cfg.enc_channels[0] < POOL_MIN_ELEMENTS
-    return (*pool_threads(max_workers, n_samples), processes)
+def samples_on_processes(cfg: ModelConfig) -> bool:
+    """Whether a train step's samples run on worker processes rather than threads."""
+    return cfg.hw * cfg.hw * cfg.enc_channels[0] < POOL_MIN_ELEMENTS
 
 
 def sample_grads(
@@ -139,8 +137,8 @@ def sample_grads(
 def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConfig) -> float:
     """One optimizer step; returns the batch loss.
 
-    Each sample is one ``fan_out`` task of ``sample_grads`` (on the pool
-    ``step_workers`` picks), so a step holds one live tape per worker; a
+    Each sample is one ``fan_out`` task of ``sample_grads`` (on processes where
+    ``samples_on_processes`` says so), so a step holds one live tape per worker; a
     non-finite batch loss or summed gradient raises before the optimizer moves.
     Gradients are summed last sample first, the order of one shared graph's sweep,
     so the step does not depend on the pool size or kind.
@@ -152,10 +150,10 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
     idx = list(batch_indices(tcfg.seed, step, len(prepared), tcfg.batch))
     scale = 1.0 / len(idx)
 
-    workers, _, processes = step_workers(cfg, default_workers(), len(idx))
     task = functools.partial(sample_grads, model.params, cfg, phase, scale)
     try:
-        per_sample = fan_out(task, [prepared[i] for i in idx], workers, processes)
+        per_sample = fan_out(task, [prepared[i] for i in idx], default_workers(),
+                             samples_on_processes(cfg))
     except ad.AutodiffError as exc:  # e.g. a forward pass that overflows after a diverged step
         raise TrainError(f"step {step}: {exc}") from exc
     loss_value = float(sum(value for value, _ in per_sample) * scale)

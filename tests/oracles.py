@@ -3,8 +3,9 @@ bilinear resize and the covariate blur.
 
 The library runs each operator once, as a tape function in ``foucast.model``.
 These plain-array versions are written without the tape so tests can check
-the tape functions against separately stated math.  The 2-D SSIM window is
-kept here too: the library applies it separably.  Transforms here call
+the tape functions against separately stated math.  The 2-D SSIM window and a
+literal sliding-window SSIM are kept here too: the library applies the window
+separably.  ``eval_scores`` restates the eval report by per-pixel loops.  Transforms here call
 ``np.fft`` directly, so a wrong Hermitian expansion in the library does not
 cancel out.  The resize reference samples each 2-D slice with
 ``scipy.ndimage.map_coordinates``, where the library builds weight matrices.
@@ -86,6 +87,85 @@ def gaussian_window(size=11, sigma=1.5):
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
     k = np.outer(g, g)
     return k / k.sum()
+
+
+def sliding_window_ssim(pred, gt, window=11, sigma=1.5, k1=0.01, k2=0.03):
+    """Literal sliding-window SSIM: explicit loops over window positions."""
+    p = pred * 255.0
+    g = gt * 255.0
+    kern = gaussian_window(window, sigma)
+    c1 = (k1 * 255.0) ** 2
+    c2 = (k2 * 255.0) ** 2
+    h, w = p.shape
+    vals = []
+    for i in range(h - window + 1):
+        for j in range(w - window + 1):
+            pw = p[i : i + window, j : j + window]
+            gw = g[i : i + window, j : j + window]
+            mu_p = np.sum(kern * pw)
+            mu_g = np.sum(kern * gw)
+            var_p = np.sum(kern * pw * pw) - mu_p**2
+            var_g = np.sum(kern * gw * gw) - mu_g**2
+            cov = np.sum(kern * pw * gw) - mu_p * mu_g
+            vals.append(
+                ((2 * mu_p * mu_g + c1) * (2 * cov + c2))
+                / ((mu_p**2 + mu_g**2 + c1) * (var_p + var_g + c2))
+            )
+    return float(np.mean(vals))
+
+
+def eval_scores(forecasts, targets, thresholds):
+    """What ``evaluate_model`` reports for these (K, 1, H, W) forecasts, by scalar loops.
+
+    Every event, lead, threshold and pixel is visited one at a time; contingency
+    counts are Python ints, summed over events and then over leads.  Returns a
+    dict of the total ``csi`` and ``hss`` per threshold, the total ``mse``,
+    ``mae`` and ``ssim``, and ``leads``: per lead, the threshold-mean ``csi`` and
+    ``hss`` and the ``mse``, ``mae`` and ``ssim``.
+    """
+    k, _, h, w = targets[0].shape
+
+    def scores(a, m, b, d):
+        denom = (a + m) * (m + d) + (a + b) * (b + d)
+        return (a / (a + m + b) if a + m + b else 0.0,
+                2 * (a * d - b * m) / denom if denom else 0.0)
+
+    leads = []
+    totals = {t: [0, 0, 0, 0] for t in thresholds}
+    total_se = total_ae = total_ssim = 0.0
+    for lead in range(k):
+        counts = {t: [0, 0, 0, 0] for t in thresholds}  # hits, misses, false alarms, negatives
+        se = ae = frame_ssim = 0.0
+        for pred, gt in zip(forecasts, targets):
+            for t in thresholds:
+                for i in range(h):
+                    for j in range(w):
+                        pe = pred[lead, 0, i, j] * 255.0 >= t
+                        ge = gt[lead, 0, i, j] * 255.0 >= t
+                        counts[t][(0 if ge else 2) if pe else (1 if ge else 3)] += 1
+            for i in range(h):
+                for j in range(w):
+                    diff = 255.0 * (pred[lead, 0, i, j] - gt[lead, 0, i, j])
+                    se += diff * diff
+                    ae += abs(diff)
+            frame_ssim += sliding_window_ssim(pred[lead, 0], gt[lead, 0])
+        per_t = [scores(*counts[t]) for t in thresholds]
+        n_pix = len(targets) * h * w
+        leads.append({
+            "csi": sum(c for c, _ in per_t) / len(per_t),
+            "hss": sum(s for _, s in per_t) / len(per_t),
+            "mse": se / n_pix, "mae": ae / n_pix, "ssim": frame_ssim / len(targets),
+        })
+        for t in thresholds:
+            totals[t] = [x + y for x, y in zip(totals[t], counts[t])]
+        total_se, total_ae, total_ssim = total_se + se, total_ae + ae, total_ssim + frame_ssim
+    n_pix = k * len(targets) * h * w
+    return {
+        "csi": {t: scores(*totals[t])[0] for t in thresholds},
+        "hss": {t: scores(*totals[t])[1] for t in thresholds},
+        "mse": total_se / n_pix, "mae": total_ae / n_pix,
+        "ssim": total_ssim / (k * len(targets)), "leads": leads,
+    }
 
 
 def afno_apply(z, w1, w2, b1, b2):

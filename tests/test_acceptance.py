@@ -487,7 +487,7 @@ def test_criterion_8_metric_oracles():
     for _ in range(100):
         pred = (rng.random((16, 16)) > 0.5).astype(float)
         gt = (rng.random((16, 16)) > 0.5).astype(float)
-        c = contingency(pred, gt, threshold=128)
+        c = contingency(pred, gt, [128])[0]
         a = b = m = d = 0
         for i in range(16):
             for j in range(16):
@@ -496,7 +496,7 @@ def test_criterion_8_metric_oracles():
                 b += pe and not ge
                 m += ge and not pe
                 d += not pe and not ge
-        assert (c.hits, c.false_alarms, c.misses, c.correct_negatives) == (a, b, m, d)
+        assert tuple(c) == (a, m, b, d)
         want_csi = a / (a + m + b) if (a + m + b) else 0.0
         hd = (a + m) * (m + d) + (a + b) * (b + d)
         want_hss = 2 * (a * d - b * m) / hd if hd else 0.0
@@ -524,7 +524,7 @@ def test_criterion_8_metric_oracles():
     for thresholds in (sevir, meteonet):
         scores = {}
         for t in thresholds:
-            scores[t] = csi(contingency(pred, gt, t))
+            scores[t] = csi(contingency(pred, gt, [t])[0])
         avg = average_over_thresholds(scores)
         assert avg == pytest.approx(float(np.mean(list(scores.values()))))
 

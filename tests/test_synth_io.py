@@ -435,6 +435,16 @@ def test_manifest_version_checked(tmp_path, edit):
         read_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("key", ["t_in", "k_out", "hw", "cadence_minutes"])
+def test_manifest_without_a_grid_key_rejected(tmp_path, key):
+    """A header missing a grid key fails at read, naming it, not later at load_event."""
+    manifest_path = synth_dataset(small_cfg(), n_events=2, out_dir=tmp_path)
+    lines = manifest_path.read_text().splitlines(keepends=True)
+    manifest_path.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")))
+    with pytest.raises(SynthError, match=re.escape(f"manifest {key} = None is not a number")):
+        read_manifest(manifest_path)
+
+
 def test_load_event_checks_frames_against_manifest(tmp_path):
     """Frames that do not fit the header's (t_in + k_out, 1, hw, hw) fail at load, by file."""
     manifest_path = synth_dataset(small_cfg(), n_events=1, out_dir=tmp_path)

@@ -335,8 +335,8 @@ def test_small_samples_step_on_worker_processes(monkeypatch):
 
     monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: 1, lambda n: None))
     small, big = micro_cfg(), micro_cfg(hw=128, hidden_hw=32, enc_channels=(8, 8, 8))
-    assert train.step_workers(small, 4, 3) == (3, 1, True)
-    assert train.step_workers(big, 4, 3) == (3, 1, False)
+    assert train.samples_on_processes(small) and not train.samples_on_processes(big)
+    assert pool.pool_threads(4, 3) == (3, 1)
     monkeypatch.setenv("FOUCAST_THREADS", "3")
     pids = []
 
@@ -356,11 +356,11 @@ def test_small_samples_step_on_worker_processes(monkeypatch):
 def test_error_in_a_worker_process_names_the_step(monkeypatch, blas_at_two):
     """A forward pass that overflows in a worker process, not in the caller, still stops the
     step with a TrainError that names it, and the caller's BLAS count is restored."""
-    from foucast import train
+    from foucast import pool, train
 
     monkeypatch.setenv("FOUCAST_THREADS", "2")
     cfg = micro_cfg()
-    assert train.step_workers(cfg, 2, 2) == (2, 1, True)
+    assert train.samples_on_processes(cfg) and pool.pool_threads(2, 2) == (2, 1)
     model = NowcastModel.initialize(cfg, seed=0)
     good, huge = prepare_events(model, make_events(cfg, n=2))
     huge.frames = huge.frames.copy()
