@@ -26,7 +26,6 @@ import numpy as np
 from . import tensorfile
 from .model import ModelConfig, NowcastModel, init_params
 from .optim import OPTIMIZER_SCALARS, OptimizerState
-from .params import ParamSet
 
 FORMAT_VERSION = 1
 
@@ -118,16 +117,15 @@ def load_checkpoint(
             raise CheckpointError(f"checkpoint optimizer = {json.dumps(scalars)} is not an "
                                   f"object of {', '.join(OPTIMIZER_SCALARS)}")
         state = {key: _header_value(scalars, key, "optimizer") for key in OPTIMIZER_SCALARS}
-        expected = init_params(cfg, np.random.default_rng(0))
+        params = init_params(cfg, np.random.default_rng(0))  # every value is read over below
         names = _header_value(header, "param_names")
-        for got, want in itertools.zip_longest(names, expected.names()):
+        for got, want in itertools.zip_longest(names, params.names()):
             if got != want:
                 raise CheckpointError(
                     f"checkpoint parameter {got!r} where the config expects {want!r}"
                 )
-        params = ParamSet()
         for name in names:
-            value, want = tensorfile.read_stream(fh), expected[name]
+            value, want = tensorfile.read_stream(fh), params[name]
             if value.shape != want.shape or value.dtype != want.dtype:
                 raise CheckpointError(
                     f"checkpoint parameter {name!r} is {value.shape} {value.dtype}, "
@@ -135,7 +133,7 @@ def load_checkpoint(
                 )
             if not np.all(np.isfinite(value)):
                 raise CheckpointError(f"checkpoint parameter {name!r} has non-finite values")
-            params.add(name, value)
+            params[name] = value
         for key in ("m", "v"):
             value = state[key] = tensorfile.read_stream(fh)
             if value.shape != (params.size,) or not np.all(np.isfinite(value)):

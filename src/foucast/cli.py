@@ -9,24 +9,32 @@ from pathlib import Path
 
 from .autodiff import AutodiffError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 from .evaluate import evaluate_model, write_reports
 from .metrics import SSIM_WINDOW
-from .model import ModelConfig, ModelError, NowcastModel
+from .model import ModelError, NowcastModel
 from .optim import OPTIMIZER_SCALARS
 from .pool import default_workers, pool_threads
-from .synth import CADENCE_MINUTES, Manifest, SynthError, load_event, read_manifest, synth_dataset
-from .tensorfile import TensorFileError
+from .synth import CADENCE_MINUTES, SynthError, load_event, read_manifest, synth_dataset
 from .train import TrainError, TrainState, samples_on_processes, train_model
 
 
-def _load_split(manifest: Manifest, split: str, cfg: ModelConfig):
-    """The split's events, once the manifest's data is known to fit the model config."""
-    expect = dict(t_in=cfg.t_in, k_out=cfg.k_out, hw=cfg.hw, cadence_minutes=CADENCE_MINUTES)
+def _load_split(args, cfg: RunConfig, split: str):
+    """The split's events from ``--manifest`` or ``[data] manifest``, once the manifest's
+    data is known to fit the model config; a split without events is an error."""
+    manifest_path = args.manifest or cfg.data.manifest
+    if manifest_path is None:
+        raise ConfigError("no manifest: pass --manifest or set [data] manifest")
+    manifest = read_manifest(manifest_path)
+    model = cfg.model
+    expect = dict(t_in=model.t_in, k_out=model.k_out, hw=model.hw, cadence_minutes=CADENCE_MINUTES)
     for key, want in expect.items():
-        if float(got := manifest.meta[key]) != want:
+        if (got := manifest.meta[key]) != want:
             raise ConfigError(f"manifest {key} = {got} does not match the model's {key} = {want}")
-    return [load_event(entry, manifest) for entry in manifest.split(split)]
+    events = [load_event(entry, manifest) for entry in manifest.split(split)]
+    if not events:
+        raise ConfigError(f"manifest has no {split} events")
+    return events
 
 
 def cmd_synth(args) -> int:
@@ -41,9 +49,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     workers = default_workers()
-    manifest_path = args.manifest or cfg.data.manifest
-    if manifest_path is None:
-        raise ConfigError("no manifest: pass --manifest or set [data] manifest")
     tcfg = cfg.train
     if args.seed is not None:
         tcfg = dataclasses.replace(tcfg, seed=args.seed)
@@ -60,10 +65,7 @@ def cmd_train(args) -> int:
         model = NowcastModel.initialize(cfg.model, seed=tcfg.seed)
         state = None
 
-    manifest = read_manifest(manifest_path)
-    events = _load_split(manifest, "train", cfg.model)
-    if not events:
-        raise TrainError("manifest has no train events")
+    events = _load_split(args, cfg, "train")
     pool, blas = pool_threads(workers, min(tcfg.batch, len(events)))
     kind = "processes" if samples_on_processes(cfg.model) else "threads"
     print(f"train pool {pool} worker(s) ({kind}), "
@@ -84,14 +86,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"[model] hw = {cfg.model.hw} is below the {SSIM_WINDOW} px SSIM "
                           f"window eval scores with")
     workers = default_workers()
-    manifest_path = args.manifest or cfg.data.manifest
-    if manifest_path is None:
-        raise ConfigError("no manifest: pass --manifest or set [data] manifest")
     model, _, _ = load_checkpoint(args.checkpoint, expect_cfg=cfg.model)
-    manifest = read_manifest(manifest_path)
-    events = _load_split(manifest, "test", cfg.model)
-    if not events:
-        raise ConfigError("manifest has no test events")
+    events = _load_split(args, cfg, "test")
     pool, blas = pool_threads(workers, len(events))
     print(f"eval pool {pool} worker(s), BLAS threads per worker: {blas or 'not settable'}")
     report = evaluate_model(
@@ -169,8 +165,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SynthError, ModelError, TrainError, AutodiffError,
-            CheckpointError, TensorFileError, OSError) as exc:
+    except (ConfigError, SynthError, ModelError, TrainError, AutodiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,15 +76,15 @@ MEM_SUMMARY_CHANNELS = 3  # temporal mean, last frame, last minus first
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
     cfg.validate()
-    ps = ParamSet()
+    arrays: dict[str, np.ndarray] = {}
 
     def conv(name, cout, cin, k):
-        ps.add(f"{name}.w", rng.standard_normal((cout, cin, k, k)) * np.sqrt(2.0 / (cin * k * k)))
-        ps.add(f"{name}.b", np.zeros(cout))
+        arrays[f"{name}.w"] = rng.standard_normal((cout, cin, k, k)) * np.sqrt(2.0 / (cin * k * k))
+        arrays[f"{name}.b"] = np.zeros(cout)
 
     def convT(name, cin, cout, k):
-        ps.add(f"{name}.w", rng.standard_normal((cin, cout, k, k)) * np.sqrt(2.0 / (cin * k * k)))
-        ps.add(f"{name}.b", np.zeros(cout))
+        arrays[f"{name}.w"] = rng.standard_normal((cin, cout, k, k)) * np.sqrt(2.0 / (cin * k * k))
+        arrays[f"{name}.b"] = np.zeros(cout)
 
     def encoder(prefix, channels):  # the layers _encoder runs
         for i, (cin, cout) in enumerate(zip(channels, channels[1:]), start=1):
@@ -100,29 +100,29 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
     convT("dec3", c2, c1, 4)
     conv("dec4", cfg.k_out, c1, 3)
 
-    ps.add("mod.beta_logit", np.zeros(()))
+    arrays["mod.beta_logit"] = np.zeros(())
 
     cm = cfg.mem_channels
     encoder("mem", (MEM_SUMMARY_CHANNELS, cm, cm, cm, cfg.c_emb))
     phases = rng.uniform(-np.pi, np.pi, size=(cfg.memory_slots, cfg.c_emb))
-    ps.add("memory.slots", np.exp(1j * phases))
+    arrays["memory.slots"] = np.exp(1j * phases)
 
     def afno_params(name):  # square blocks: c_emb channels in and out
         nb, ib = cfg.n_blocks, cfg.c_emb // cfg.n_blocks
         scale = 1.0 / np.sqrt(2.0 * ib)
         for w in ("w1", "w2"):
-            ps.add(f"{name}.{w}", scale * (rng.standard_normal((nb, ib, ib)) + 1j * rng.standard_normal((nb, ib, ib))))
+            arrays[f"{name}.{w}"] = scale * (rng.standard_normal((nb, ib, ib)) + 1j * rng.standard_normal((nb, ib, ib)))
         for b in ("b1", "b2"):
-            ps.add(f"{name}.{b}", np.zeros((nb, ib), dtype=np.complex128))
+            arrays[f"{name}.{b}"] = np.zeros((nb, ib), dtype=np.complex128)
 
     afno_params("align")
     for layer in range(cfg.depth_l):
         hh, wf, c = cfg.hidden_hw, cfg.wf, cfg.c_emb
         noise = 0.02 * (rng.standard_normal((hh, wf, c)) + 1j * rng.standard_normal((hh, wf, c)))
-        ps.add(f"blk{layer}.attn", np.ones((hh, wf, c), dtype=np.complex128) + noise)
-        ps.add(f"blk{layer}.gate", np.full(c, 0.1))
+        arrays[f"blk{layer}.attn"] = np.ones((hh, wf, c), dtype=np.complex128) + noise
+        arrays[f"blk{layer}.gate"] = np.full(c, 0.1)
         afno_params(f"blk{layer}.afno")
-    return ps
+    return ParamSet(arrays)
 
 
 def make_leaves(params: ParamSet) -> dict[str, Var]:
@@ -130,10 +130,11 @@ def make_leaves(params: ParamSet) -> dict[str, Var]:
 
 
 def collect_grads(params: ParamSet, leaves: dict[str, Var]) -> ParamSet:
-    grads = ParamSet()
-    for name, value in params:
-        g = leaves[name].grad
-        grads.add(name, np.zeros_like(value) if g is None else g)
+    """The leaves' gradients in ``params``' layout; zero where a leaf has none."""
+    grads = params.from_flat(np.zeros(params.size))
+    for name in params.names():
+        if (g := leaves[name].grad) is not None:
+            grads[name] = g
     return grads
 
 
@@ -395,13 +396,16 @@ class NowcastModel:
     def initialize(cls, cfg: ModelConfig, seed: int = 0) -> "NowcastModel":
         return cls(cfg=cfg, params=init_params(cfg, np.random.default_rng(seed)))
 
-    def align_covariates(self, cov: CovariateGrid) -> np.ndarray:
+    def align_covariates(self, cov: CovariateGrid) -> np.ndarray | None:
+        """``cov`` regridded to the hidden grid at the forecast leads; None with modulation off."""
+        if not self.cfg.enable_pfm:
+            return None
         target_minutes = np.arange(1, self.cfg.k_out + 1) * CADENCE_MINUTES
         return regrid(cov, target_minutes, (self.cfg.hidden_hw, self.cfg.hidden_hw))
 
     def predict(self, seq: RadarSequence, cov: CovariateGrid | None) -> np.ndarray:
         """Inference on the input-sequence query path; returns (K, 1, hw, hw)."""
         inputs = seq.frames[: self.cfg.t_in]
-        cov_aligned = self.align_covariates(cov) if self.cfg.enable_pfm else None
         with ad.no_grad():
-            return forward_tape(make_leaves(self.params), self.cfg, inputs, cov_aligned, phase=2).value
+            return forward_tape(make_leaves(self.params), self.cfg, inputs,
+                                self.align_covariates(cov), phase=2).value

@@ -1,6 +1,6 @@
-"""AdamW over the flat real view of a ParamSet.
+"""AdamW over a ParamSet's flat vector of real coordinates.
 
-Moments live on the flat vector, so complex parameters are optimized as
+Moments live in the same layout, so complex parameters are optimized as
 independent (re, im) coordinates.  Frozen parameters keep their values and
 moments bit-exactly.
 """
@@ -43,8 +43,7 @@ def adamw_step(
     frozen: frozenset[str] | set[str] = frozenset(),
 ) -> tuple[ParamSet, OptimizerState]:
     """One decoupled-weight-decay Adam update; returns new params and state."""
-    flat = theta.to_flat()
-    g = grad.to_flat()
+    flat, g = theta.flat, grad.flat
     if g.shape != flat.shape:
         raise ValueError(f"gradient size {g.shape} does not match parameters {flat.shape}")
 

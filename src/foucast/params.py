@@ -1,8 +1,10 @@
-"""Named parameter sets with a stable flat-vector view.
+"""Named parameters as views of one float64 vector.
 
-Complex parameters are stored as complex128 arrays; the flat view exposes
-them as interleaved (re, im) float64 pairs via a dtype reinterpretation, so
-flatten -> unflatten round trips are bit-exact.
+``ParamSet.flat`` holds every parameter's real coordinates in name order.  A
+complex parameter takes two coordinates per entry, interleaved (re, im), and
+its view reinterprets them as complex128, so the named arrays, the gradients
+and the optimizer's moments all share one layout and round trips are
+bit-exact.  This is the one module that reinterprets float64 as complex128.
 """
 
 from __future__ import annotations
@@ -11,87 +13,56 @@ import numpy as np
 
 
 class ParamSet:
-    """Ordered mapping from parameter names to float64/complex128 arrays."""
+    """Ordered mapping from parameter names to float64/complex128 views of ``flat``."""
 
-    def __init__(self, arrays: dict[str, np.ndarray] | None = None):
-        self._arrays: dict[str, np.ndarray] = {}
-        if arrays:
-            for name, a in arrays.items():
-                self.add(name, a)
-
-    def add(self, name: str, array: np.ndarray) -> None:
-        if name in self._arrays:
-            raise ValueError(f"duplicate parameter {name!r}")
-        a = np.asarray(array)
-        if np.iscomplexobj(a):
-            a = a.astype(np.complex128)
-        else:
-            a = a.astype(np.float64)
-        self._arrays[name] = a
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        """One new buffer holding ``arrays``' values, each as float64, or complex128 if complex."""
+        self._layout: dict[str, tuple[slice, tuple[int, ...], type]] = {}
+        off = 0
+        for name, a in arrays.items():
+            dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+            n = np.size(a) * (2 if dtype is np.complex128 else 1)
+            self._layout[name] = (slice(off, off + n), np.shape(a), dtype)
+            off += n
+        self.flat = np.empty(off)
+        for name, a in arrays.items():
+            self[name][...] = a
 
     def names(self) -> list[str]:
-        return list(self._arrays)
+        return list(self._layout)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
+        sl, shape, dtype = self._layout[name]
+        return self.flat[sl].view(dtype).reshape(shape)
 
     def __setitem__(self, name: str, array: np.ndarray) -> None:
-        old = self._arrays[name]
-        a = np.asarray(array)
-        if a.shape != old.shape or a.dtype != old.dtype:
+        """Write ``array``, which must have the parameter's shape and dtype, into its view."""
+        view, a = self[name], np.asarray(array)
+        if a.shape != view.shape or a.dtype != view.dtype:
             raise ValueError(
-                f"parameter {name!r} expects {old.shape} {old.dtype}, got {a.shape} {a.dtype}"
+                f"parameter {name!r} expects {view.shape} {view.dtype}, got {a.shape} {a.dtype}"
             )
-        self._arrays[name] = a
+        view[...] = a
 
     def __iter__(self):
-        return iter(self._arrays.items())
-
-    @staticmethod
-    def _n_reals(a: np.ndarray) -> int:
-        return a.size * (2 if np.iscomplexobj(a) else 1)
+        return ((name, self[name]) for name in self._layout)
 
     @property
     def size(self) -> int:
-        """Total number of real coordinates in the flat view."""
-        return sum(self._n_reals(a) for a in self._arrays.values())
+        """Total number of real coordinates in ``flat``."""
+        return self.flat.size
 
     def flat_slices(self) -> dict[str, slice]:
-        out = {}
-        off = 0
-        for name, a in self._arrays.items():
-            n = self._n_reals(a)
-            out[name] = slice(off, off + n)
-            off += n
-        return out
-
-    def to_flat(self) -> np.ndarray:
-        parts = []
-        for a in self._arrays.values():
-            if np.iscomplexobj(a):
-                parts.append(np.ascontiguousarray(a).view(np.float64).ravel())
-            else:
-                parts.append(a.ravel())
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        return {name: sl for name, (sl, _, _) in self._layout.items()}
 
     def from_flat(self, flat: np.ndarray) -> "ParamSet":
-        """New ParamSet with this one's structure and ``flat``'s values."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.size,):
-            raise ValueError(f"flat vector has {flat.shape}, expected ({self.size},)")
-        out = ParamSet()
-        off = 0
-        for name, a in self._arrays.items():
-            n = self._n_reals(a)
-            chunk = np.ascontiguousarray(flat[off : off + n])
-            if np.iscomplexobj(a):
-                out.add(name, chunk.view(np.complex128).reshape(a.shape))
-            else:
-                out.add(name, chunk.reshape(a.shape))
-            off += n
+        """A ParamSet of this one's layout over ``flat`` itself, not a copy of it."""
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector has {flat.shape}, expected {self.flat.shape}")
+        out = object.__new__(ParamSet)
+        out._layout, out.flat = self._layout, flat
         return out
 
     def copy(self) -> "ParamSet":
-        return ParamSet({name: a.copy() for name, a in self._arrays.items()})
+        return self.from_flat(self.flat.copy())

@@ -220,6 +220,10 @@ class ManifestEntry:
 
 @dataclass
 class Manifest:
+    """A dataset's manifest.  ``meta`` holds the header's ``key = value`` lines as strings,
+    but the event grid typed: ``t_in``, ``k_out`` and ``hw`` as ints, ``cadence_minutes``
+    as a float."""
+
     path: Path
     meta: dict
     entries: list[ManifestEntry] = field(default_factory=list)
@@ -345,11 +349,16 @@ def read_manifest(path: str | Path) -> Manifest:
                 raise SynthError(f"{path} line {lineno}: {exc}") from None
     if (version := meta.get("version")) != MANIFEST_VERSION:
         raise SynthError(f"{path}: manifest version {version} is not {MANIFEST_VERSION}")
-    for key in ("t_in", "k_out", "hw", "cadence_minutes"):  # the event grid, read as numbers
+    for key in ("t_in", "k_out", "hw", "cadence_minutes"):  # the event grid, typed here once
         try:
-            float(meta.get(key))
+            value = float(raw := meta.get(key))
         except (TypeError, ValueError):
-            raise SynthError(f"{path}: manifest {key} = {meta.get(key)} is not a number") from None
+            raise SynthError(f"{path}: manifest {key} = {raw} is not a number") from None
+        integral = key != "cadence_minutes"
+        if not (np.isfinite(value) and value > 0 and (value.is_integer() or not integral)):
+            kind = "a positive integer" if integral else "a finite positive number"
+            raise SynthError(f"{path}: manifest {key} = {raw} is not {kind}")
+        meta[key] = int(value) if integral else value
     if (missing := np.flatnonzero(np.isnan(cov_mean))).size:
         raise SynthError(f"{path}: no covstat line for covariate channel(s) "
                          f"{', '.join(map(str, missing))}")
@@ -360,7 +369,7 @@ def load_event(entry: ManifestEntry, manifest: Manifest) -> tuple[RadarSequence,
     frames = tensorfile.read_tensor(entry.frames_path).astype(np.float64)
     covs = tensorfile.read_tensor(entry.covs_path).astype(np.float64)
     leads = tensorfile.read_tensor(entry.leads_path).astype(np.float64)
-    t_in, k_out, hw = (int(float(manifest.meta[k])) for k in ("t_in", "k_out", "hw"))
+    t_in, k_out, hw = (manifest.meta[k] for k in ("t_in", "k_out", "hw"))
     want = (t_in + k_out, 1, hw, hw)
     if frames.shape != want:
         raise SynthError(f"{entry.frames_path}: frames {frames.shape} do not match the "

@@ -84,11 +84,8 @@ class TrainState:
 def prepare_events(
     model: NowcastModel, events: list[tuple[RadarSequence, CovariateGrid]]
 ) -> list[PreparedEvent]:
-    out = []
-    for seq, cov in events:
-        aligned = model.align_covariates(cov) if model.cfg.enable_pfm else None
-        out.append(PreparedEvent(frames=seq.frames, cov_aligned=aligned))
-    return out
+    return [PreparedEvent(frames=seq.frames, cov_aligned=model.align_covariates(cov))
+            for seq, cov in events]
 
 
 def batch_indices(seed: int, step: int, n_events: int, batch: int) -> np.ndarray:
@@ -161,9 +158,8 @@ def train_step(state: TrainState, prepared: list[PreparedEvent], tcfg: TrainConf
         raise TrainError(f"non-finite loss {loss_value} at step {step}")
     grads = per_sample[-1][1]
     for _, earlier in reversed(per_sample[:-1]):
-        for name, g in grads:
-            g += earlier[name]
-    if not all(np.all(np.isfinite(g)) for _, g in grads):
+        grads.flat += earlier.flat
+    if not np.all(np.isfinite(grads.flat)):
         raise TrainError(f"non-finite gradient at step {step}")
 
     frozen = frozenset({"memory.slots"}) if phase == 2 else frozenset()

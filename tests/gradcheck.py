@@ -1,7 +1,7 @@
 """Central-difference gradient checks of tape functions (criterion 4 and unit tests).
 
 ``grad_check`` compares the reverse-mode gradient of a scalar loss with
-central differences over the flat real view of a ``ParamSet``; ``total`` is
+central differences over the flat vector of a ``ParamSet``; ``total`` is
 the sum reducer the test losses use to make an array scalar.
 """
 
@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from foucast.autodiff import Var, as_var, backward, no_grad
+from foucast.model import collect_grads
 from foucast.params import ParamSet
 
 
@@ -75,13 +76,9 @@ def grad_check(
     leaves = {name: Var(a.copy(), op=f"param:{name}") for name, a in theta}
     loss = f(leaves)
     backward(loss)
-    grads = ParamSet()
-    for name, a in theta:
-        g = leaves[name].grad
-        grads.add(name, np.zeros_like(a) if g is None else g)
-    analytic = grads.to_flat()
+    analytic = collect_grads(theta, leaves).flat
 
-    flat = theta.to_flat()
+    flat = theta.flat
     idx = np.arange(flat.size) if coords is None else np.asarray(coords, dtype=int)
 
     def eval_at(vec: np.ndarray) -> float:

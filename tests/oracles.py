@@ -13,8 +13,10 @@ The convolution references unfold with ``sliding_window_view`` and fold back
 with one strided add per tap, where the library uses one strided view and one
 contiguous run per tap.  The covariate blur reference filters each lead and
 channel as its own 2-D field with ``scipy.ndimage.gaussian_filter``, where the
-library blurs every lead and channel in one numpy call.  scipy serves only
-these references; the library does not import it.
+library blurs every lead and channel in one numpy call.  ``train_step_by_name``
+sums gradients and applies AdamW one named parameter at a time, where the
+library works on one flat vector.  scipy serves only these references; the
+library does not import it.
 """
 
 import numpy as np
@@ -328,3 +330,41 @@ def conv2d_transpose_reference(x, w, b, stride, pad):
     cols = w.reshape(cin, cout * k * k).T @ x.reshape(cin, h * wd)
     full = strided_col2im(cols, cout, k, stride, (hp, wp), h, wd)
     return full[:, pad : hp - pad, pad : wp - pad] + b[:, None, None]
+
+
+def train_step_by_name(params, sample_grads, m, v, step, phase, *, lr, beta1, beta2, eps,
+                       weight_decay):
+    """The optimizer half of a train step, one parameter at a time.
+
+    ``params`` and each of ``sample_grads`` map names to arrays; ``m`` and ``v``
+    are the moments over every parameter's real coordinates in name order, a
+    complex entry as its (re, im) pair.  Gradients are summed per name, last
+    sample first, then AdamW updates each name's coordinates; phase 2 keeps
+    ``memory.slots`` and its moments, and phase 1 renormalizes the slots to unit
+    modulus.  Returns the new params dict and the new m and v.
+    """
+    t = step + 1
+    out, new_m, new_v = {}, [], []
+    off = 0
+    for name, p in params.items():
+        g = sample_grads[-1][name].copy()
+        for earlier in reversed(sample_grads[:-1]):
+            g += earlier[name]
+        theta = np.ascontiguousarray(p).view(np.float64).ravel()
+        g = np.ascontiguousarray(g).view(np.float64).ravel()
+        m0, v0 = m[off : off + theta.size], v[off : off + theta.size]
+        off += theta.size
+        if phase == 2 and name == "memory.slots":
+            out[name], m1, v1 = p.copy(), m0.copy(), v0.copy()
+        else:
+            m1 = beta1 * m0 + (1.0 - beta1) * g
+            v1 = beta2 * v0 + (1.0 - beta2) * g**2
+            m_hat = m1 / (1.0 - beta1**t)
+            v_hat = v1 / (1.0 - beta2**t)
+            theta = theta - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+            out[name] = theta.view(p.dtype).reshape(p.shape)
+        new_m.append(m1)
+        new_v.append(v1)
+    if phase == 1:
+        out["memory.slots"] = unit_normalize(out["memory.slots"])
+    return out, np.concatenate(new_m), np.concatenate(new_v)

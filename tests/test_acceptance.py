@@ -571,7 +571,7 @@ def test_criterion_9_serialization(tmp_path):
     m_res, opt_res, _ = load_checkpoint(p2)
     train_model(m_res, events, tcfg, state=TrainState(model=m_res, opt=opt_res))
     resume_identical = (
-        m_res.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
+        m_res.params.flat.tobytes() == s_full.model.params.flat.tobytes()
     )
 
     ok = bit_identical and resume_identical

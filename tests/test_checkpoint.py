@@ -42,7 +42,7 @@ def test_round_trip_bit_identical_forward(tmp_path):
     loaded, opt2, meta = load_checkpoint(path)
     assert meta == {"step": 7}
     assert loaded.cfg == cfg
-    assert loaded.params.to_flat().tobytes() == model.params.to_flat().tobytes()
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
     assert opt2.lr == opt.lr and opt2.step == opt.step
     assert np.array_equal(opt2.m, opt.m) and np.array_equal(opt2.v, opt.v)
 
@@ -186,7 +186,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     s_full, path, events, tcfg = interrupted_run(tmp_path)
     resumed = resume_from(path, events, tcfg)
     assert resumed.history == s_full.history[5:]
-    assert resumed.model.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
+    assert resumed.model.params.flat.tobytes() == s_full.model.params.flat.tobytes()
 
 
 def test_older_header_keys_are_ignored(tmp_path):
@@ -200,4 +200,4 @@ def test_older_header_keys_are_ignored(tmp_path):
     rewrite_header(path, older_keys)
     resumed = resume_from(path, events, tcfg)
     assert resumed.history == s_full.history[5:]
-    assert resumed.model.params.to_flat().tobytes() == s_full.model.params.to_flat().tobytes()
+    assert resumed.model.params.flat.tobytes() == s_full.model.params.flat.tobytes()

@@ -834,7 +834,7 @@ def test_manifest_header_numbers_compare_as_numbers(tmp_path, command):
     (set_key("cadence_minutes", "cadence_minutes = 10 min"),
      "manifest cadence_minutes = 10 min is not a number"),
     (drop_lines("k_out "), "manifest k_out = None is not a number"),
-    (set_key("t_in", "t_in = nan"), "manifest t_in = nan does not match the model's t_in = 2"),
+    (set_key("t_in", "t_in = nan"), "manifest t_in = nan is not a positive integer"),
     # covariates are z-scored with the manifest's stats, so every channel needs its line
     (drop_lines("covstat 19 "), "no covstat line for covariate channel(s) 19"),
     (drop_lines("covstat "), "no covstat line for covariate channel(s) 0, 1, 2, "),

@@ -7,7 +7,8 @@ code; the entry points (``cli.py`` and ``__init__.py``) and the names in
 fan-out, so only ``pool.py`` imports ``concurrent.futures``, and training,
 evaluation and dataset synthesis each fan out once.  Resampling and the
 covariate blur are numpy, so no module imports scipy: the package needs numpy
-alone, and the tests keep scipy as an oracle.
+alone, and the tests keep scipy as an oracle.  Only ``params.py`` reinterprets
+an array's dtype, so parameters, gradients and moments keep one flat layout.
 """
 
 import ast
@@ -172,6 +173,18 @@ def test_fan_out_has_one_call_site_per_caller():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls[p.stem] = calls.get(p.stem, 0) + 1
     assert calls == {"train": 1, "evaluate": 1, "synth": 1}, f"fan_out call sites per module: {calls}"
+
+
+def test_only_params_reinterprets_dtypes():
+    """``ParamSet`` owns the flat layout: complex parameters as (re, im) float64 pairs.
+    Another module that calls ``ndarray.view`` with a dtype would fork that layout."""
+    views = {}
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view"
+                    and (node.args or node.keywords)):
+                views[p.stem] = views.get(p.stem, 0) + 1
+    assert list(views) == ["params"], f"ndarray.view(dtype) calls per module: {views}"
 
 
 def test_no_src_module_imports_scipy():

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -16,9 +17,8 @@ def test_paramset_flat_round_trip_bit_exact():
         "z": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
         "b": rng.standard_normal(5),
     })
-    flat = ps.to_flat()
-    assert flat.size == 12 + 8 + 5
-    back = ps.from_flat(flat)
+    assert ps.flat.size == 12 + 8 + 5
+    back = ps.from_flat(ps.flat.copy())
     for name, a in ps:
         assert np.array_equal(back[name], a)
         assert back[name].dtype == a.dtype
@@ -32,12 +32,49 @@ def test_paramset_ordering_stable():
     assert label(ps, 3) == "b[1]"
 
 
-def test_paramset_rejects_duplicates_and_bad_shapes():
-    ps = ParamSet({"a": np.zeros(2)})
-    with pytest.raises(ValueError):
-        ps.add("a", np.zeros(2))
-    with pytest.raises(ValueError):
+def test_paramset_rejects_bad_shapes_and_dtypes():
+    ps = ParamSet({"a": np.zeros(2), "z": np.zeros(2, dtype=np.complex128)})
+    with pytest.raises(ValueError, match="'a' expects"):
         ps["a"] = np.zeros(3)
+    with pytest.raises(ValueError, match="'z' expects"):
+        ps["z"] = np.zeros(2)
+    with pytest.raises(ValueError, match="flat vector"):
+        ps.from_flat(np.zeros(5))
+
+
+def test_paramset_names_are_views_of_flat():
+    """A write through a name lands in ``flat``: complex entries as (re, im) pairs."""
+    ps = ParamSet({"w": np.zeros(2), "z": np.zeros((1, 2), dtype=np.complex128)})
+    ps["z"] = np.array([[1 + 2j, 3 - 4j]])
+    ps["w"][1] = 5.0
+    assert ps.flat.tolist() == [0.0, 5.0, 1.0, 2.0, 3.0, -4.0]
+    ps.flat[0] = 7.0
+    assert ps["w"].tolist() == [7.0, 5.0]
+
+
+def test_paramset_from_flat_shares_layout_not_buffer():
+    ps = ParamSet({"w": np.ones(2), "z": np.ones(1, dtype=np.complex128)})
+    vec = np.arange(4.0)
+    other = ps.from_flat(vec)
+    assert other.names() == ps.names() and other.flat_slices() == ps.flat_slices()
+    assert other.flat is vec and not np.shares_memory(other.flat, ps.flat)
+    other["w"] = np.zeros(2)
+    assert ps["w"].tolist() == [1.0, 1.0] and vec.tolist() == [0.0, 0.0, 2.0, 3.0]
+    copied = ps.copy()
+    copied["z"] = np.zeros(1, dtype=np.complex128)
+    assert ps["z"].tolist() == [1 + 0j]
+
+
+def test_paramset_pickle_round_trip():
+    """Worker processes receive ParamSets pickled: names, dtypes and bytes survive."""
+    rng = np.random.default_rng(3)
+    ps = ParamSet({"z": rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                   "s": np.array(0.5), "w": rng.standard_normal((2, 2))})
+    back = pickle.loads(pickle.dumps(ps))
+    assert back.names() == ps.names()
+    assert back.flat.tobytes() == ps.flat.tobytes()
+    for (name, a), (_, b) in zip(ps, back):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_zero_grad_zero_decay_leaves_params():
@@ -71,7 +108,7 @@ def test_trajectories_bit_identical():
         for _ in range(25):
             g = ParamSet({"w": np.sin(ps["w"]), "z": ps["z"] * 0.5})
             ps, state = adamw_step(ps, g, state)
-        return ps.to_flat()
+        return ps.flat
 
     assert np.array_equal(run(), run())
 

@@ -342,7 +342,7 @@ def test_synth_dataset_round_trip(tmp_path):
     man = read_manifest(manifest_path)
     assert len(man.entries) == 4
     assert [e.split for e in man.entries] == ["train", "train", "train", "test"]
-    assert man.meta["t_in"] == "3"
+    assert (man.meta["t_in"], man.meta["cadence_minutes"]) == (3, 10.0) and type(man.meta["t_in"]) is int
     assert man.cov_std is not None and np.all(man.cov_std > 0)
 
     seq, cov = load_event(man.entries[0], man)
@@ -435,13 +435,24 @@ def test_manifest_version_checked(tmp_path, edit):
         read_manifest(manifest_path)
 
 
-@pytest.mark.parametrize("key", ["t_in", "k_out", "hw", "cadence_minutes"])
-def test_manifest_without_a_grid_key_rejected(tmp_path, key):
-    """A header missing a grid key fails at read, naming it, not later at load_event."""
+GRID_FAULTS = [(key, None) for key in ("t_in", "k_out", "hw", "cadence_minutes")] + [
+    (key, value) for key in ("t_in", "k_out", "hw") for value in ("16.5", "inf", "nan", "0")
+] + [("cadence_minutes", value) for value in ("inf", "nan", "-10")]
+
+
+@pytest.mark.parametrize("key,value", GRID_FAULTS,
+                         ids=[k if v is None else f"{k}={v}" for k, v in GRID_FAULTS])
+def test_manifest_without_a_grid_key_rejected(tmp_path, key, value):
+    """A header missing a grid key fails at read, naming it, not later at load_event; so does
+    a t_in, k_out or hw that is not a positive integer, or a cadence that is not a finite
+    positive number."""
     manifest_path = synth_dataset(small_cfg(), n_events=2, out_dir=tmp_path)
     lines = manifest_path.read_text().splitlines(keepends=True)
-    manifest_path.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")))
-    with pytest.raises(SynthError, match=re.escape(f"manifest {key} = None is not a number")):
+    keep = [ln for ln in lines if not ln.startswith(f"{key} =")]
+    manifest_path.write_text("".join(keep + ([] if value is None else [f"{key} = {value}\n"])))
+    kind = ("a number" if value is None else
+            "a finite positive number" if key == "cadence_minutes" else "a positive integer")
+    with pytest.raises(SynthError, match=re.escape(f"manifest {key} = {value} is not {kind}")):
         read_manifest(manifest_path)
 
 

@@ -52,7 +52,7 @@ def test_identical_runs_identical_loss_curves():
 
     s1, s2 = run(), run()
     assert s1.history == s2.history
-    assert s1.model.params.to_flat().tobytes() == s2.model.params.to_flat().tobytes()
+    assert s1.model.params.flat.tobytes() == s2.model.params.flat.tobytes()
 
 
 def test_phase1_slots_move_and_stay_unit():
@@ -143,7 +143,7 @@ def test_pool_size_does_not_change_training(monkeypatch):
     runs += [train_with_pool(monkeypatch, w, processes=True) for w in (1, 2, 3)]
     for other in runs[1:]:
         assert other.history == runs[0].history
-        assert np.array_equal(other.model.params.to_flat(), runs[0].model.params.to_flat())
+        assert np.array_equal(other.model.params.flat, runs[0].model.params.flat)
         assert np.array_equal(other.opt.m, runs[0].opt.m)
         assert np.array_equal(other.opt.v, runs[0].opt.v)
 
@@ -185,7 +185,50 @@ def test_step_gradient_equals_one_shared_graph(monkeypatch, phase):
     monkeypatch.setattr(train, "adamw_step", recording_adamw)
     state = train.TrainState(model=model, opt=init_state(model.params))
     assert train.train_step(state, prepared, tcfg) == float(loss.value)
-    assert np.array_equal(stepped[0].to_flat(), expected.to_flat())
+    assert np.array_equal(stepped[0].flat, expected.flat)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("workers,processes", [(1, False), (2, False), (1, True), (2, True)])
+def test_step_matches_per_name_oracle(monkeypatch, phase, workers, processes):
+    """Two steps on the flat layout match, bit for bit, gradients summed and AdamW applied
+    one parameter at a time, on threads or worker processes."""
+    import oracles
+    from foucast import pool, train
+    from foucast.model import forward_tape, loss_tape, make_leaves
+
+    monkeypatch.setenv("FOUCAST_THREADS", str(workers))
+    if not processes:
+        monkeypatch.setattr(train, "POOL_MIN_ELEMENTS", 0)
+    cfg = micro_cfg()
+    model = NowcastModel.initialize(cfg, seed=5)
+    assert train.samples_on_processes(cfg) == processes
+    prepared = prepare_events(model, make_events(cfg))
+    tcfg = TrainConfig(lr=0.003, batch=3, phase1_steps=2 if phase == 1 else 0,
+                       phase2_steps=2 if phase == 2 else 0, seed=5)
+    state = TrainState(model=model, opt=init_state(model.params, lr=tcfg.lr))
+
+    def grads_by_name(params, ev, scale):
+        leaves = make_leaves(params)
+        pred = forward_tape(leaves, cfg, ev.frames[: cfg.t_in], ev.cov_aligned, phase=phase,
+                            gt_frames=ev.frames if phase == 1 else None)
+        ad.backward(ad.mul(loss_tape(pred, ev.frames[cfg.t_in :], cfg.lam), scale))
+        return {name: np.zeros_like(a) if leaves[name].grad is None else leaves[name].grad
+                for name, a in params}
+
+    for step in range(2):
+        idx = train.batch_indices(tcfg.seed, step, len(prepared), tcfg.batch)
+        params = {name: a.copy() for name, a in model.params}
+        with pool.one_blas_thread():
+            per_sample = [grads_by_name(model.params, prepared[i], 1.0 / len(idx)) for i in idx]
+        opt = state.opt
+        want, m, v = oracles.train_step_by_name(
+            params, per_sample, opt.m, opt.v, opt.step, phase, lr=opt.lr, beta1=opt.beta1,
+            beta2=opt.beta2, eps=opt.eps, weight_decay=opt.weight_decay)
+        train_step(state, prepared, tcfg)
+        for name, a in model.params:
+            assert np.array_equal(a, want[name]) and a.dtype == want[name].dtype, name
+        assert np.array_equal(state.opt.m, m) and np.array_equal(state.opt.v, v)
 
 
 def recording(monkeypatch, module, name, seen, record):
@@ -245,7 +288,7 @@ def test_non_finite_loss_raises_before_any_backward(monkeypatch, poisoned):
     train_step(state, prepared, tcfg)  # a good step first, so the moments are not zero
 
     def snapshot():
-        return (model.params.to_flat().tobytes(), state.opt.m.tobytes(),
+        return (model.params.flat.tobytes(), state.opt.m.tobytes(),
                 state.opt.v.tobytes(), state.opt.step, list(state.history))
 
     before = snapshot()
@@ -395,7 +438,7 @@ def test_non_finite_gradient_raises_before_the_optimizer_moves(monkeypatch):
         return grads
 
     monkeypatch.setattr(train, "collect_grads", overflowing_grads)
-    before = (model.params.to_flat().tobytes(), state.opt.m.tobytes(), state.opt.step)
+    before = (model.params.flat.tobytes(), state.opt.m.tobytes(), state.opt.step)
     with pytest.raises(TrainError, match="non-finite gradient at step 1"):
         train_step(state, prepared, tcfg)
-    assert (model.params.to_flat().tobytes(), state.opt.m.tobytes(), state.opt.step) == before
+    assert (model.params.flat.tobytes(), state.opt.m.tobytes(), state.opt.step) == before
