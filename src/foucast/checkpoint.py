@@ -96,6 +96,8 @@ def load_checkpoint(
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {header.get('version')} != {FORMAT_VERSION}"

@@ -194,7 +194,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
 

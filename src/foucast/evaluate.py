@@ -34,7 +34,7 @@ def _score_sample(pred: np.ndarray, target: np.ndarray, thresholds):
         d = metrics.PIXEL_SCALE * (p - g)
         sq[j] = float(np.sum(d * d))
         ab[j] = float(np.sum(np.abs(d)))
-        ssim[j] = metrics.ssim(p[None], g[None])
+        ssim[j] = metrics.ssim(p, g)
     return counts, sq, ab, ssim
 
 

@@ -34,13 +34,6 @@ def _check_match(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pred, gt
 
 
-def _frames(x: np.ndarray) -> np.ndarray:
-    """View any (..., H, W) stack as (N, H, W)."""
-    if x.ndim < 2:
-        raise MetricError(f"need at least 2 dims, got {x.shape}")
-    return x.reshape(-1, x.shape[-2], x.shape[-1])
-
-
 # ---------------------------------------------------------------------------
 # categorical skill
 
@@ -118,19 +111,15 @@ def _gaussian_band(n: int) -> np.ndarray:
 
 
 def ssim(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Structural similarity with a Gaussian window, valid positions only.
-
-    Inputs are (..., H, W) stacks in [0, 1]; frames are scored independently
-    on the 0-255 scale and the scores averaged.  The Gaussian window is
-    applied separably, rows then columns.
-    """
+    """Structural similarity of one (H, W) frame pair in [0, 1], on the 0-255 scale, with a
+    Gaussian window at valid positions only, applied separably, rows then columns."""
     pred, gt = _check_match(pred, gt)
-    pf = _frames(pred) * PIXEL_SCALE
-    gf = _frames(gt) * PIXEL_SCALE
-    if pf.shape[1] < SSIM_WINDOW or pf.shape[2] < SSIM_WINDOW:
-        raise MetricError(f"frame {pf.shape[1:]} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    band_h = _gaussian_band(pf.shape[1])
-    band_w_t = _gaussian_band(pf.shape[2]).T
+    if pred.ndim != 2 or min(pred.shape) < SSIM_WINDOW:
+        raise MetricError(f"ssim scores one (H, W) frame of at least {SSIM_WINDOW}x{SSIM_WINDOW}"
+                          f" pixels, got {pred.shape}")
+    pf, gf = pred * PIXEL_SCALE, gt * PIXEL_SCALE
+    band_h = _gaussian_band(pred.shape[0])
+    band_w_t = _gaussian_band(pred.shape[1]).T
     c1 = (SSIM_K1 * PIXEL_SCALE) ** 2
     c2 = (SSIM_K2 * PIXEL_SCALE) ** 2
 

@@ -150,14 +150,11 @@ def regrid(cov: CovariateGrid, target_minutes: np.ndarray, target_hw: tuple[int,
     """
     if cov.fields.shape[0] == 0:
         raise ModelError("empty covariate set")
+    if cov.mean is None or cov.std is None:
+        raise ModelError("covariates carry no normalisation statistics (mean and std)")
     spatial = bilinear_resize(cov.fields, target_hw)
     aligned = np.tensordot(lerp_matrix(cov.lead_minutes, target_minutes), spatial, axes=1)
-    if cov.mean is None or cov.std is None:
-        mean = aligned.mean(axis=(0, 2, 3))
-        std = np.maximum(aligned.std(axis=(0, 2, 3)), 1e-6)
-    else:
-        mean, std = cov.mean, cov.std
-    return (aligned - mean[None, :, None, None]) / std[None, :, None, None]
+    return (aligned - cov.mean[None, :, None, None]) / cov.std[None, :, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Everything is deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +56,8 @@ class RadarSequence:
 class CovariateGrid:
     fields: np.ndarray        # (N, M, H', W')
     lead_minutes: np.ndarray  # (N,)
-    mean: np.ndarray | None = None  # per-channel z-score stats
-    std: np.ndarray | None = None
+    mean: np.ndarray | None = None  # per-channel z-score stats, which the model needs;
+    std: np.ndarray | None = None   # load_event attaches them, generate_event has none
 
     def __post_init__(self):
         if self.fields.ndim != 4 or self.fields.shape[1] != N_COV_CHANNELS:
@@ -226,9 +226,9 @@ class Manifest:
 
     path: Path
     meta: dict
-    entries: list[ManifestEntry] = field(default_factory=list)
-    cov_mean: np.ndarray | None = None
-    cov_std: np.ndarray | None = None
+    entries: list[ManifestEntry]
+    cov_mean: np.ndarray  # per-channel z-score stats of the train split
+    cov_std: np.ndarray
 
     def split(self, tag: str) -> list[ManifestEntry]:
         return [e for e in self.entries if e.split == tag]
@@ -345,6 +345,8 @@ def read_manifest(path: str | Path) -> Manifest:
                 elif "=" in line:
                     key, _, value = line.partition("=")
                     meta[key.strip()] = value.strip()
+                else:
+                    raise ValueError(f"{line!r} is no comment, key = value, covstat or event")
             except ValueError as exc:
                 raise SynthError(f"{path} line {lineno}: {exc}") from None
     if (version := meta.get("version")) != MANIFEST_VERSION:

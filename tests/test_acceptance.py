@@ -6,6 +6,7 @@ trainings behind it run once, in two spawned processes, via a module-scoped
 fixture.
 """
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -44,6 +45,7 @@ from foucast.synth import CADENCE_MINUTES, SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, TrainState, train_model
 from foucast.metrics import PIXEL_SCALE, mse as mse_metric
 from gradcheck import grad_check, total
+from micro import make_events, micro_cfg, rand_spectrum, with_event_stats
 from oracles import (
     alignment_scores,
     alignment_weights,
@@ -58,10 +60,6 @@ from oracles import (
 def announce(tag: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {tag}: {detail}"
-
-
-def rand_spectrum(rng, h, w, c):
-    return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
 
 
 # -- 1: spectral oracle suite -------------------------------------------------
@@ -283,7 +281,7 @@ def test_criterion_4_gradient_suite():
     scfg = SyntheticEventConfig(seed=3, hw=16, t_in=2, k_out=2, n_blobs=1, cov_hw=8,
                                 size_range=(0.15, 0.25))
     seq, cov = generate_event(scfg)
-    aligned = regrid(cov, np.arange(1, 3) * CADENCE_MINUTES, (4, 4))
+    aligned = regrid(with_event_stats(cov, cfg), np.arange(1, 3) * CADENCE_MINUTES, (4, 4))
     for phase in (1, 2):
         def f_model(leaves, phase=phase):
             pred = forward_tape(leaves, cfg, seq.frames[:2], aligned, phase=phase,
@@ -306,14 +304,8 @@ def test_criterion_4_gradient_suite():
 
 
 def test_criterion_5_two_phase_protocol():
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
-                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4),
-                      mem_channels=4, lam=0.5)
-    events = [
-        generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
-                                            n_blobs=2, cov_hw=8))
-        for s in range(3)
-    ]
+    cfg = micro_cfg()
+    events = make_events(cfg)
     model = NowcastModel.initialize(cfg, seed=0)
     init_slots = model.params["memory.slots"].copy()
 
@@ -366,13 +358,13 @@ def test_criterion_6_overfit_sanity():
         t_in=3, k_out=4, hw=64, hidden_hw=16, c_emb=16, depth_l=2, n_blocks=4,
         memory_slots=16, enc_channels=(16, 32, 32), mem_channels=8, lam=0.0,
     )
-    events = [
-        generate_event(SyntheticEventConfig(
+    events = []
+    for s in range(8):
+        seq, cov = generate_event(SyntheticEventConfig(
             seed=s, hw=64, t_in=3, k_out=4, n_blobs=1, cov_hw=16,
             noise_amp=0.0, advect_range=(0.3, 1.2), turn_range=(-0.03, 0.03),
             growth_range=(-0.01, 0.01)))
-        for s in range(8)
-    ]
+        events.append((seq, with_event_stats(cov, cfg)))
     model = NowcastModel.initialize(cfg, seed=0)
     tcfg = TrainConfig(lr=0.006, batch=4, phase1_steps=125, phase2_steps=375, seed=0)
     state = train_model(model, events, tcfg)
@@ -393,16 +385,23 @@ def test_criterion_6_overfit_sanity():
 
 ABLATION_SEEDS = (0, 1, 2)
 ABLATION_VARIANTS = {"full": (True, True), "no_pfm": (False, True), "no_fm": (True, False)}
+ABLATION_CFG = ModelConfig(t_in=3, k_out=6, hw=64, hidden_hw=16, c_emb=8, depth_l=1,
+                           n_blocks=2, memory_slots=8, enc_channels=(8, 16, 16),
+                           mem_channels=8, lam=0.57)  # the full variant
 
 
 @functools.cache
 def ablation_dataset(seed, n=100):
-    """(train, test) split of one seed's 100 events."""
-    evs = [generate_event(SyntheticEventConfig(
-        seed=seed * 1000 + i, hw=64, t_in=3, k_out=6, n_blobs=2, cov_hw=16,
-        noise_amp=0.01, advect_range=(1.5, 1.5), turn_range=(0.0, 0.0),
-        growth_range=(0.0, 0.0), direction_modes=2,
-        anisotropy_range=(1.5, 1.5), size_range=(0.08, 0.10))) for i in range(n)]
+    """(train, test) split of one seed's 100 events, with the statistics of each event's
+    covariates on the grid every variant shares."""
+    evs = []
+    for i in range(n):
+        seq, cov = generate_event(SyntheticEventConfig(
+            seed=seed * 1000 + i, hw=64, t_in=3, k_out=6, n_blobs=2, cov_hw=16,
+            noise_amp=0.01, advect_range=(1.5, 1.5), turn_range=(0.0, 0.0),
+            growth_range=(0.0, 0.0), direction_modes=2,
+            anisotropy_range=(1.5, 1.5), size_range=(0.08, 0.10)))
+        evs.append((seq, with_event_stats(cov, ABLATION_CFG)))
     return evs[:80], evs[80:]
 
 
@@ -410,9 +409,7 @@ def ablation_run(seed, variant):
     """Test MSE and MAE of one variant (enable_pfm, enable_fm) trained on one seed."""
     tr, te = ablation_dataset(seed)
     pfm, fm = ABLATION_VARIANTS[variant]
-    cfg = ModelConfig(t_in=3, k_out=6, hw=64, hidden_hw=16, c_emb=8, depth_l=1,
-                      n_blocks=2, memory_slots=8, enc_channels=(8, 16, 16),
-                      mem_channels=8, lam=0.57, enable_pfm=pfm, enable_fm=fm)
+    cfg = dataclasses.replace(ABLATION_CFG, enable_pfm=pfm, enable_fm=fm)
     model = NowcastModel.initialize(cfg, seed=seed)
     train_model(model, tr, TrainConfig(lr=0.003, batch=4, phase1_steps=200,
                                        phase2_steps=200, seed=seed))
@@ -517,7 +514,7 @@ def test_criterion_8_metric_oracles():
             c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
             vals.append(((2 * mu_p * mu_g + c1) * (2 * cov + c2))
                         / ((mu_p**2 + mu_g**2 + c1) * (var_p + var_g + c2)))
-    ssim_err = abs(ssim(pred[None], gt[None]) - float(np.mean(vals)))
+    ssim_err = abs(ssim(pred, gt) - float(np.mean(vals)))
 
     sevir = [16.0, 74.0, 133.0, 160.0, 181.0, 219.0]
     meteonet = [12.0, 24.0, 32.0]
@@ -541,14 +538,8 @@ def test_criterion_8_metric_oracles():
 
 
 def test_criterion_9_serialization(tmp_path):
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
-                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4),
-                      mem_channels=4, lam=0.5)
-    events = [
-        generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
-                                            n_blobs=2, cov_hw=8))
-        for s in range(3)
-    ]
+    cfg = micro_cfg()
+    events = make_events(cfg)
     tcfg = TrainConfig(lr=0.002, batch=2, phase1_steps=2, phase2_steps=4, seed=9)
 
     # save -> load -> forward is bit-identical

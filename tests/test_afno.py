@@ -3,6 +3,7 @@ import pytest
 
 from foucast.autodiff import Var, no_grad
 from foucast.model import ModelConfig, ModelError, afno_tape, init_params
+from micro import rand_spectrum
 
 
 def draw_weights(c_in, c_out, nb, rng):
@@ -55,10 +56,6 @@ def dense_oracle(z, w):
             h = np.maximum(h.real, 0) + 1j * np.maximum(h.imag, 0)
             out[i, j] = w2 @ h + b2
     return out
-
-
-def rand_spectrum(rng, h, w, c):
-    return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
 
 
 def test_identity_blocks_pass_nonnegative_input():

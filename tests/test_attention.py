@@ -3,10 +3,7 @@ import pytest
 
 from foucast.autodiff import Var, no_grad
 from foucast.model import ModelConfig, attention_tape, init_params
-
-
-def rand_spectrum(rng, h, w, c):
-    return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
+from micro import rand_spectrum
 
 
 def attend(f, w, gate=None):

@@ -1,4 +1,3 @@
-import json
 import os
 import stat
 from pathlib import Path
@@ -7,28 +6,11 @@ import numpy as np
 import pytest
 
 from foucast.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from foucast.model import ModelConfig, NowcastModel
+from foucast.model import NowcastModel
 from foucast.optim import init_state
-from foucast.synth import SyntheticEventConfig, generate_event
 from foucast.tensorfile import TensorFileError
 from foucast.train import TrainConfig, TrainState, train_model
-
-
-def micro_cfg(**kw):
-    base = dict(
-        t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1, n_blocks=2,
-        memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4, lam=0.5,
-    )
-    base.update(kw)
-    return ModelConfig(**base)
-
-
-def make_events(cfg, n=3, seed=0):
-    return [
-        generate_event(SyntheticEventConfig(
-            seed=seed + i, hw=cfg.hw, t_in=cfg.t_in, k_out=cfg.k_out, n_blobs=2, cov_hw=8))
-        for i in range(n)
-    ]
+from micro import make_events, micro_cfg, rewrite_header
 
 
 def test_round_trip_bit_identical_forward(tmp_path):
@@ -59,18 +41,16 @@ def test_config_mismatch_names_both_values(tmp_path):
         load_checkpoint(path, expect_cfg=micro_cfg(depth_l=2))
 
 
-def test_garbage_file_rejected(tmp_path):
+@pytest.mark.parametrize("data", [
+    b"\x00\x01\x02 not a checkpoint",
+    b"[1, 2]\n",  # JSON, but not an object
+    b'"x"\n',
+], ids=["binary", "json_list", "json_string"])
+def test_garbage_file_rejected(tmp_path, data):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"\x00\x01\x02 not a checkpoint")
+    path.write_bytes(data)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
-
-
-def rewrite_header(path, edit):
-    header, rest = path.read_bytes().split(b"\n", 1)
-    head = json.loads(header)
-    edit(head)
-    path.write_bytes(json.dumps(head).encode() + b"\n" + rest)
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import re
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from foucast.cli import main
 from foucast.config import ConfigError, DataConfig, EvalConfig, RunConfig, load_config
+from micro import make_events, micro_cfg, rewrite_header, with_event_stats
 
 TINY_INI = """\
 [model]
@@ -62,14 +62,6 @@ def save_initial_checkpoint(path, ini):
     save_checkpoint(path, model, init_state(
         model.params, lr=cfg.train.lr, weight_decay=cfg.train.weight_decay))
     return path
-
-
-def rewrite_header(path, edit):
-    """Apply ``edit`` to a checkpoint's JSON header, keeping its blobs."""
-    header, rest = path.read_bytes().split(b"\n", 1)
-    head = json.loads(header)
-    edit(head)
-    path.write_bytes(json.dumps(head).encode() + b"\n" + rest)
 
 
 # --- config parsing ---------------------------------------------------------
@@ -313,8 +305,23 @@ def test_config_data_generator_keys_reach_synth_config(tmp_path, key, raw, name,
 
 
 def test_config_missing_file():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config file not found"):
         load_config("/nonexistent/path.ini")
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: p.mkdir(),                             # a directory, not a file
+    lambda p: p.write_bytes(b"\xff\xfe[model]\n"),  # bytes that are not UTF-8
+], ids=["directory", "not-utf8"])
+def test_config_unreadable_file_named(tmp_path, capsys, make):
+    """A config that cannot be read is an error naming it, not the paper defaults."""
+    path = tmp_path / "c.ini"
+    make(path)
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {path}")):
+        load_config(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_meteonet_thresholds(tmp_path):
@@ -775,6 +782,9 @@ def test_resume_with_other_learning_rate_fails_before_work(tmp_path, monkeypatch
     # a split other than train or test, on files that exist
     "event trian events/event_0000_frames.fct events/event_0000_covs.fct "
     "events/event_0000_leads.fct",
+    # a misspelt keyword: the line is not skipped, or the event silently drops out
+    "evnt train events/event_0000_frames.fct events/event_0000_covs.fct "
+    "events/event_0000_leads.fct",
 ])
 def test_unparsable_manifest_line_fails_before_events_load(tmp_path, monkeypatch, capsys,
                                                           bad_line):
@@ -962,15 +972,10 @@ def test_eval_checks_checkpoint_before_data(tmp_path, capsys):
 
 
 def micro_model_and_events(n):
-    from foucast.model import ModelConfig, NowcastModel
-    from foucast.synth import SyntheticEventConfig, generate_event
+    from foucast.model import NowcastModel
 
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1,
-                      n_blocks=2, memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
-    events = [generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=2,
-                                                  n_blobs=2, cov_hw=8))
-              for s in range(n)]
-    return NowcastModel.initialize(cfg, seed=1), events
+    cfg = micro_cfg()
+    return NowcastModel.initialize(cfg, seed=1), make_events(cfg, n)
 
 
 def test_thread_pool_reduction_deterministic(monkeypatch):
@@ -1221,7 +1226,8 @@ def test_eval_report_bit_identical_across_pool_sizes_at_default_config():
 
     cfg = RunConfig()
     model = NowcastModel.initialize(cfg.model, seed=1)
-    events = [generate_event(cfg.synth_config(seed=s)) for s in range(3)]
+    events = [(seq, with_event_stats(cov, cfg.model))
+              for seq, cov in (generate_event(cfg.synth_config(seed=s)) for s in range(3))]
     thresholds = list(cfg.eval.thresholds)
     serial = evaluate_model(model, events, thresholds, max_workers=1)
     pooled = evaluate_model(model, events, thresholds, max_workers=2)

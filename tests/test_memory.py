@@ -12,10 +12,7 @@ from foucast.model import (
 )
 from foucast.synth import SyntheticEventConfig, generate_event
 from foucast.train import TrainConfig, train_model
-
-
-def rand_spectrum(rng, h, w, c):
-    return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
+from micro import micro_cfg, rand_spectrum, with_event_stats
 
 
 def random_slots(n_slots, width, rng):
@@ -188,11 +185,11 @@ def test_training_phase_flags():
     """Phase 1 leaves the bank trainable; the first phase-2 step freezes it."""
     tcfg = TrainConfig(lr=0.01, batch=1, phase1_steps=1, phase2_steps=1, seed=13)
     assert [tcfg.phase_of(step) for step in range(3)] == [1, 2, 2]
-    cfg = ModelConfig(t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1, n_blocks=2,
-                      memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
+    cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=13)
-    events = [generate_event(SyntheticEventConfig(seed=13, hw=16, t_in=2, k_out=2,
-                                                  n_blobs=1, cov_hw=8))]
+    seq, cov = generate_event(SyntheticEventConfig(seed=13, hw=16, t_in=2, k_out=2,
+                                                   n_blobs=1, cov_hw=8))
+    events = [(seq, with_event_stats(cov, cfg))]
     initial = model.params["memory.slots"].tobytes()
     state = train_model(model, events, TrainConfig(lr=0.01, batch=1, phase1_steps=1,
                                                    phase2_steps=0, seed=13))

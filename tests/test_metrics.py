@@ -17,6 +17,7 @@ from foucast.metrics import (
     ssim,
 )
 from foucast.model import loss_tape
+from micro import make_events, micro_cfg
 from oracles import eval_scores, naive_dft2, sliding_window_ssim
 
 
@@ -163,7 +164,7 @@ def test_pixel_metrics_identical_inputs():
     x = np.random.default_rng(6).random((2, 1, 16, 16))
     assert mse(x, x) == 0.0
     assert psnr(mse(x, x)) == math.inf
-    assert ssim(x, x) == pytest.approx(1.0)
+    assert ssim(x[0, 0], x[0, 0]) == pytest.approx(1.0)
 
 
 def test_mse_psnr_endpoints():
@@ -196,13 +197,10 @@ def test_evaluate_model_matches_scalar_loop_oracle(monkeypatch, workers):
     """Totals and per-lead rows of the report against per-event, per-lead, per-threshold,
     per-pixel loops, on fixed noisy-truth forecasts."""
     from foucast.evaluate import evaluate_model
-    from foucast.model import ModelConfig, NowcastModel
-    from foucast.synth import SyntheticEventConfig, generate_event
+    from foucast.model import NowcastModel
 
-    cfg = ModelConfig(t_in=2, k_out=3, hw=16, hidden_hw=4, c_emb=4, depth_l=1, n_blocks=2,
-                      memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4)
-    events = [generate_event(SyntheticEventConfig(seed=s, hw=16, t_in=2, k_out=3, n_blobs=2,
-                                                  cov_hw=8)) for s in range(3)]
+    cfg = micro_cfg(k_out=3)
+    events = make_events(cfg)
     rng = np.random.default_rng(31)
     targets = [seq.frames[2:] for seq, _ in events]
     forecasts = [np.clip(x + 0.2 * rng.standard_normal(x.shape), 0, 1) for x in targets]
@@ -230,7 +228,7 @@ def test_ssim_matches_sliding_window_oracle():
     rng = np.random.default_rng(8)
     pred = rng.random((16, 16))
     gt = np.clip(pred + 0.1 * rng.standard_normal((16, 16)), 0, 1)
-    got = ssim(pred[None], gt[None])
+    got = ssim(pred, gt)
     want = sliding_window_ssim(pred, gt)
     assert abs(got - want) < 1e-9
 
@@ -243,14 +241,8 @@ def noisy_pair(rng, shape, sigma=0.1):
 def test_ssim_non_square_frame_matches_oracle():
     """Rows and columns take different band matrices; swapping them fails here."""
     pred, gt = noisy_pair(np.random.default_rng(21), (16, 24))
-    assert abs(ssim(pred[None], gt[None]) - sliding_window_ssim(pred, gt)) < 1e-9
-    assert abs(ssim(pred.T[None], gt.T[None]) - sliding_window_ssim(pred.T, gt.T)) < 1e-9
-
-
-def test_ssim_frame_stack_is_mean_of_oracle():
-    pred, gt = noisy_pair(np.random.default_rng(22), (3, 1, 16, 20), sigma=0.2)
-    want = np.mean([sliding_window_ssim(pred[i, 0], gt[i, 0]) for i in range(3)])
-    assert abs(ssim(pred, gt) - want) < 1e-9
+    assert abs(ssim(pred, gt) - sliding_window_ssim(pred, gt)) < 1e-9
+    assert abs(ssim(pred.T, gt.T) - sliding_window_ssim(pred.T, gt.T)) < 1e-9
 
 
 def test_ssim_production_frame_matches_oracle():
@@ -258,14 +250,16 @@ def test_ssim_production_frame_matches_oracle():
     rng = np.random.default_rng(23)
     pred, gt = noisy_pair(rng, (128, 128), sigma=0.3)
     pred = pred * (rng.random((128, 128)) > 0.7)
-    assert abs(ssim(pred[None], gt[None]) - sliding_window_ssim(pred, gt)) < 1e-9
+    assert abs(ssim(pred, gt) - sliding_window_ssim(pred, gt)) < 1e-9
 
 
 def test_ssim_rejects_small_frames():
     with pytest.raises(MetricError):
-        ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
+        ssim(np.zeros((8, 8)), np.zeros((8, 8)))
     with pytest.raises(MetricError):
-        ssim(np.zeros((1, 16, 10)), np.zeros((1, 16, 10)))
+        ssim(np.zeros((16, 10)), np.zeros((16, 10)))
+    with pytest.raises(MetricError, match="one"):  # a stack of frames is not one frame
+        ssim(np.zeros((1, 16, 16)), np.zeros((1, 16, 16)))
 
 
 def test_average_over_thresholds():

@@ -19,16 +19,8 @@ from foucast.model import (
 )
 from foucast.resample import bilinear_resize, lerp_matrix
 from foucast.synth import CovariateGrid, N_COV_CHANNELS, SyntheticEventConfig, generate_event
+from micro import make_events, micro_cfg, with_event_stats
 from oracles import afno_apply, combined_loss, memory_match, numpy_hidden_composition, unit_normalize
-
-
-def micro_cfg(**kw):
-    base = dict(
-        t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1, n_blocks=2,
-        memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4, lam=0.5,
-    )
-    base.update(kw)
-    return ModelConfig(**base)
 
 
 def rand_field(rng, h, w, c):
@@ -76,6 +68,18 @@ def test_regrid_empty_rejected():
                         lead_minutes=np.zeros(0))
     with pytest.raises(ModelError):
         regrid(cov, np.array([10.0]), (4, 4))
+
+
+def test_covariates_without_statistics_rejected():
+    """``generate_event`` attaches no statistics; the model names them instead of
+    z-scoring its input by a rule of its own."""
+    cfg = micro_cfg()
+    seq, cov = generate_event(SyntheticEventConfig(hw=16, t_in=2, k_out=2, n_blobs=2, cov_hw=8))
+    missing = "no normalisation statistics"
+    with pytest.raises(ModelError, match=missing):
+        regrid(cov, np.array([10.0]), (4, 4))
+    with pytest.raises(ModelError, match=missing):
+        NowcastModel.initialize(cfg).predict(seq, cov)
 
 
 # --- encoders ---------------------------------------------------------------
@@ -229,18 +233,10 @@ def test_hidden_forward_matches_numpy_composition(seed):
 # --- full forward -----------------------------------------------------------
 
 
-def micro_batch(cfg, seed=0):
-    scfg = SyntheticEventConfig(
-        seed=seed, hw=cfg.hw, t_in=cfg.t_in, k_out=cfg.k_out, n_blobs=2, cov_hw=8
-    )
-    seq, cov = generate_event(scfg)
-    return seq, cov
-
-
 def test_forward_shape_and_range():
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=0)
-    seq, cov = micro_batch(cfg)
+    seq, cov = make_events(cfg, n=1)[0]
     pred = model.predict(seq, cov)
     assert pred.shape == (cfg.k_out, 1, cfg.hw, cfg.hw)
     assert np.all(pred >= 0.0) and np.all(pred <= 1.0)
@@ -249,7 +245,7 @@ def test_forward_shape_and_range():
 def test_forward_deterministic():
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=1)
-    seq, cov = micro_batch(cfg, seed=3)
+    seq, cov = make_events(cfg, n=1, seed=3)[0]
     assert model.predict(seq, cov).tobytes() == model.predict(seq, cov).tobytes()
 
 
@@ -259,7 +255,7 @@ def test_predict_non_finite_parameter_raises(name):
     """A NaN parameter stops at the inverse transform instead of forecasting NaN."""
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=1)
-    seq, cov = micro_batch(cfg, seed=3)
+    seq, cov = make_events(cfg, n=1, seed=3)[0]
     bad = model.params[name].copy()
     bad.flat[0] = np.nan
     model.params[name] = bad
@@ -270,8 +266,8 @@ def test_predict_non_finite_parameter_raises(name):
 def test_forward_full_scale_shape():
     cfg = ModelConfig(memory_slots=8)  # default 5 -> 20 frames at 128x128
     model = NowcastModel.initialize(cfg, seed=2)
-    scfg = SyntheticEventConfig(seed=0, hw=128, t_in=5, k_out=20, n_blobs=2)
-    seq, cov = generate_event(scfg)
+    seq, cov = generate_event(SyntheticEventConfig(seed=0, hw=128, t_in=5, k_out=20, n_blobs=2))
+    cov = with_event_stats(cov, cfg)
     pred = model.predict(seq, cov)
     assert pred.shape == (20, 1, 128, 128)
 
@@ -282,7 +278,7 @@ def test_phase_routing_tags_and_validation():
     phase-2 backward reaches align.w1."""
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=3)
-    seq, cov = micro_batch(cfg, seed=5)
+    seq, cov = make_events(cfg, n=1, seed=5)[0]
     aligned = model.align_covariates(cov)
     inputs = seq.frames[: cfg.t_in]
     replaced = seq.frames.copy()
@@ -315,7 +311,7 @@ def test_modules_can_be_disabled():
         cfg = micro_cfg(enable_pfm=flags[0], enable_fm=flags[1], enable_ifa=flags[2])
         model = NowcastModel.initialize(cfg, seed=4)
         if seq is None:
-            seq, cov = micro_batch(cfg, seed=6)
+            seq, cov = make_events(cfg, n=1, seed=6)[0]
         pred = model.predict(seq, cov)
         assert pred.shape == (cfg.k_out, 1, cfg.hw, cfg.hw)
 
@@ -326,7 +322,7 @@ def test_only_parameters_hold_gradients_after_a_sample(phase, monkeypatch):
     after a sample's sweep every leaf that holds a gradient is a parameter."""
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=7)
-    [ev] = train.prepare_events(model, [micro_batch(cfg, seed=9)])
+    [ev] = train.prepare_events(model, make_events(cfg, n=1, seed=9))
     losses = []
     monkeypatch.setattr(autodiff, "backward", lambda loss: (losses.append(loss), backward(loss)))
     train.sample_grads(model.params, cfg, phase, 1.0, ev)
@@ -346,7 +342,7 @@ def test_only_parameters_hold_gradients_after_a_sample(phase, monkeypatch):
 def test_gradient_reaches_every_parameter_group():
     cfg = micro_cfg()
     model = NowcastModel.initialize(cfg, seed=6)
-    seq, cov = micro_batch(cfg, seed=8)
+    seq, cov = make_events(cfg, n=1, seed=8)[0]
     leaves = make_leaves(model.params)
     aligned = model.align_covariates(cov)
     pred = forward_tape(leaves, cfg, seq.frames[: cfg.t_in], aligned, phase=2)

@@ -4,11 +4,8 @@ import pytest
 from foucast import autodiff as ad
 from foucast.autodiff import Var, no_grad
 from foucast.model import modulate_tape
+from micro import rand_spectrum
 from oracles import alignment_weights
-
-
-def rand_spectrum(rng, h, w, c):
-    return rng.standard_normal((h, w, c)) + 1j * rng.standard_normal((h, w, c))
 
 
 def modulate(f_hid, f_met, beta_logit=0.0):

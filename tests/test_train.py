@@ -2,32 +2,12 @@ import numpy as np
 import pytest
 
 from foucast import autodiff as ad
-from foucast.model import ModelConfig, NowcastModel
-from foucast.synth import SyntheticEventConfig, generate_event
+from foucast.model import NowcastModel
 from foucast.optim import init_state
 from foucast.train import (
     TrainConfig, TrainError, TrainState, prepare_events, train_model, train_step,
 )
-
-
-def micro_cfg(**kw):
-    base = dict(
-        t_in=2, k_out=2, hw=16, hidden_hw=4, c_emb=4, depth_l=1, n_blocks=2,
-        memory_slots=3, enc_channels=(4, 4, 4), mem_channels=4, lam=0.5,
-    )
-    base.update(kw)
-    return ModelConfig(**base)
-
-
-def make_events(cfg, n=3, seed=0):
-    events = []
-    for i in range(n):
-        scfg = SyntheticEventConfig(
-            seed=seed + i, hw=cfg.hw, t_in=cfg.t_in, k_out=cfg.k_out,
-            n_blobs=2, cov_hw=8,
-        )
-        events.append(generate_event(scfg))
-    return events
+from micro import make_events, micro_cfg
 
 
 def test_training_reduces_loss():
